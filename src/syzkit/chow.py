@@ -9,11 +9,11 @@ values print in H = dL.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 from .errors import CoprimalityError, InputError
-from .linalg import Matrix
 from .fields import QQ
+from .linalg import Matrix, fit_hilbert_polynomial
 
 
 def gbinom(a, b):
@@ -286,16 +286,8 @@ class KClass:
     def from_chi(cls, n, values):
         """Recover the integer binomial coefficients from chi at k = 0..n
         plus verification points (values may be longer than n+1)."""
-        pts = list(range(len(values)))
-        rows = [[gbinom(k + j, j) for j in range(n + 1)] for k in pts[:n + 1]]
-        sol = Matrix(QQ, rows).solve([Fraction(v) for v in values[:n + 1]])
-        assert sol is not None
-        coeffs = []
-        for a in sol:
-            assert a.denominator == 1
-            coeffs.append(int(a))
-        for k in pts[n + 1:]:
-            assert kclass_chi(coeffs, k) == values[k]
+        coeffs = fit_hilbert_polynomial(n, range(len(values)), values.__getitem__)
+        assert coeffs is not None
         return cls(n, coeffs)
 
     @classmethod

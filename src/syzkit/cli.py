@@ -29,7 +29,11 @@ _HINTS = {
 
 
 def _env_prime():
-    return int(os.environ.get("SYZKIT_PRIME", DEFAULT_PRIME))
+    value = os.environ.get("SYZKIT_PRIME", DEFAULT_PRIME)
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError("SYZKIT_PRIME is not an integer", value=value) from None
 
 
 def _jsonable(x):
@@ -76,8 +80,13 @@ def _load_subscheme(args):
         z, default_d = builtin_subscheme(args.builtin)
         d = args.d if args.d is not None else default_d
         return z, Polarization(z.n, d)
-    with open(args.input) as fh:
-        z, pol = parse_subscheme_file(fh.read())
+    try:
+        with open(args.input) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read input file: {exc.strerror}",
+                         path=args.input) from None
+    z, pol = parse_subscheme_file(text)
     if args.d is not None:
         pol = Polarization(pol.n, args.d)
     return z, pol
@@ -95,6 +104,10 @@ def cmd_resolve(args):
 
 
 def cmd_verify(args):
+    for name in ("trials", "points", "r", "n", "v"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise InputError(f"--{name} must be at least 1", **{name: value})
     if args.suite == "whitney":
         report = _whitney_suite(args.trials, args.seed)
     elif args.suite == "genericity":
@@ -230,9 +243,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SyzkitError as exc:
         payload = exc.payload()

@@ -11,11 +11,12 @@ Groebner basis with the tag block.
 
 import heapq
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .errors import HomogeneityError, NonMinimalError, RingMismatchError
-from .fields import QQ, PrimeField
-from .polyring import GradedPoly
+from .fields import PrimeField
+from .linalg import Span, fit_hilbert_polynomial, primitive_integers
+from .polyring import GradedPoly, piece_multiples
 
 
 class FreeModule:
@@ -177,17 +178,12 @@ def _normalize(vec):
     if isinstance(f, PrimeField):
         _, _, lc = vec.lead()
         return vec.scale(f.inv(lc))
-    den = 1
-    for c in vec.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in vec.terms.values():
-        num = gcd(num, int(c * den))
-    scale = Fraction(den, num if num else 1)
+    ints = primitive_integers(list(vec.terms.values()))
     _, _, lc = vec.lead()
     if lc < 0:
-        scale = -scale
-    return vec.scale(scale)
+        ints = [-c for c in ints]
+    return Vec(vec.free, {t: Fraction(c) for t, c in zip(vec.terms, ints)},
+               vec.degree)
 
 
 def _divides(a, b):
@@ -446,38 +442,6 @@ class Submodule:
 # -- minimal generators and resolutions ------------------------------------
 
 
-class _Span:
-    """Incremental row space over a field with online membership tests."""
-
-    def __init__(self, field, width):
-        self.field = field
-        self.rows = []
-        self.pivots = []
-        self.width = width
-
-    def reduce(self, vec):
-        f = self.field
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if not f.is_zero(v[p]):
-                c = v[p]
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return v
-
-    def add(self, vec):
-        """Reduce and insert; returns False if vec was already in the span."""
-        f = self.field
-        v = self.reduce(vec)
-        p = next((i for i, c in enumerate(v) if not f.is_zero(c)), None)
-        if p is None:
-            return False
-        inv = f.inv(v[p])
-        v = [f.mul(inv, c) for c in v]
-        self.rows.append(v)
-        self.pivots.append(p)
-        return True
-
-
 def minimal_generators(vecs):
     """Subset of vecs that minimally generates the same submodule.
 
@@ -496,12 +460,9 @@ def minimal_generators(vecs):
     for d in sorted(by_deg):
         basis = free.piece_basis(d)
         index = {t: i for i, t in enumerate(basis)}
-        span = _Span(ring.field, len(basis))
-        for k in kept:
-            if k.degree >= d:
-                continue
-            for m in ring.monomials_of_degree(d - k.degree):
-                span.add(k.mul_monomial(m).coords(index, d))
+        span = Span(ring.field)
+        for w in piece_multiples(ring, kept, d):
+            span.add(w.coords(index, d))
         for v in by_deg[d]:
             if span.add(v.coords(index, d)):
                 kept.append(v)
@@ -731,9 +692,6 @@ class Ideal:
             return 0
         return self.resolution().regularity()
 
-    def max_gen_degree(self):
-        return max(v.degree for v in minimal_generators(self._vecs)) if self.gens else 0
-
     def is_projectively_empty(self):
         """True iff the vanishing locus in P^n is empty (the initial ideal
         contains a pure power of every variable)."""
@@ -764,7 +722,6 @@ class Ideal:
         if not polys:
             return self
         ring = self.ring
-        f = ring.field
         k = len(polys)
         target = FreeModule(ring, tuple(-p.degree for p in polys))
         col = Vec(target, {(l, e): c for l, p in enumerate(polys)
@@ -774,7 +731,6 @@ class Ideal:
             for g in self.gens:
                 vecs.append(poly_to_vec(target, l, g))
         syz = syzygies(vecs)
-        tag = FreeModule(ring, tuple(v.degree for v in vecs))
         out = []
         for s in syz:
             p = s.component(0)
@@ -820,25 +776,14 @@ class Ideal:
     def hilbert_polynomial(self):
         """Integer vector (a_0..a_n): HP_{R/I}(k) = sum a_j * C(k+j, j),
         valid for k beyond the regularity.  Verified on extra points."""
-        from .linalg import Matrix
         n = self.ring.num_vars - 1
         if self.is_zero():
             return tuple(1 if j == n else 0 for j in range(n + 1))
-        reg = self.regularity()
-        k0 = max(reg, 0) + 1
-        pts = list(range(k0, k0 + n + 1))
-        vals = [self.quotient_piece_dim(k) for k in pts]
-        rows = [[Fraction(comb(k + j, j)) for j in range(n + 1)] for k in pts]
-        sol = Matrix(QQ, rows).solve([Fraction(v) for v in vals])
-        assert sol is not None
-        coeffs = []
-        for a in sol:
-            assert a.denominator == 1
-            coeffs.append(int(a))
-        for k in range(k0 + n + 1, k0 + n + 3):
-            assert sum(c * comb(k + j, j) for j, c in enumerate(coeffs)) == \
-                self.quotient_piece_dim(k)
-        return tuple(coeffs)
+        k0 = max(self.regularity(), 0) + 1
+        coeffs = fit_hilbert_polynomial(n, range(k0, k0 + n + 3),
+                                        self.quotient_piece_dim)
+        assert coeffs is not None
+        return coeffs
 
     def hp_value(self, k):
         return sum(c * comb(k + j, j) for j, c in enumerate(self.hilbert_polynomial()))

@@ -1,4 +1,6 @@
-"""Dense exact matrices with rank, kernel, solving and seeded random sampling.
+"""Dense exact matrices with rank, kernel, solving and seeded random sampling,
+the incremental row echelon, primitive integer scaling and the fit of a
+binomial-basis Hilbert polynomial.
 
 Over Q the forward elimination is fraction-free (Bareiss): rows are scaled
 to integers once and every intermediate entry stays an integer (a minor of
@@ -9,7 +11,7 @@ is plain row reduction mod p.
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd, lcm
 
 from .errors import UnsupportedFieldError
 from .fields import GF, QQ, PrimeField, check_same_field
@@ -38,9 +40,6 @@ class Matrix:
             m.rows[i][i] = field.one
         return m
 
-    def copy(self):
-        return Matrix(self.field, self.rows)
-
     def transpose(self):
         return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
                                    for j in range(self.ncols)])
@@ -66,12 +65,6 @@ class Matrix:
     def mul_vector(self, vec):
         f = self.field
         return [_dot(f, row, vec) for row in self.rows]
-
-    def stack_below(self, other):
-        check_same_field(self.field, other.field, "vertical stack")
-        if other.ncols != self.ncols and self.nrows and other.nrows:
-            raise ValueError("column count mismatch")
-        return Matrix(self.field, self.rows + other.rows)
 
     # -- elimination -------------------------------------------------------
 
@@ -141,18 +134,7 @@ class Matrix:
 
     def _echelon_qq(self):
         # scale each row to a primitive integer row, then Bareiss
-        rows = []
-        for r in self.rows:
-            den = 1
-            for c in r:
-                den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
-            ints = [int(Fraction(c) * den) for c in r]
-            g = 0
-            for v in ints:
-                g = gcd(g, v)
-            if g > 1:
-                ints = [v // g for v in ints]
-            rows.append(ints)
+        rows = [primitive_integers(r) for r in self.rows]
         pivots = []
         prev = 1
         r = 0
@@ -197,7 +179,10 @@ class Matrix:
                         acc = f.add(acc, f.mul(_coerce(f, rows[i][j]), v[j]))
                 v[p] = f.neg(f.div(acc, _coerce(f, rows[i][p])))
             if not isinstance(f, PrimeField):
-                v = _scale_primitive(v)
+                ints = primitive_integers(v)
+                if next((c for c in ints if c), 0) < 0:
+                    ints = [-c for c in ints]
+                v = [Fraction(c) for c in ints]
             basis.append(v)
         return basis
 
@@ -215,22 +200,57 @@ def _dot(field, u, v):
     return acc
 
 
-def _scale_primitive(vec):
-    """Scale a rational vector to a primitive integer vector, leading entry > 0."""
-    den = 1
-    for c in vec:
-        d = Fraction(c).denominator
-        den = den * d // gcd(den, d)
-    ints = [int(Fraction(c) * den) for c in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
+def primitive_integers(vec):
+    """Coprime integers proportional to a rational vector.  The sign is left
+    alone and the zero vector maps to zeros."""
+    den = lcm(*(c.denominator for c in vec))
+    ints = [int(c * den) for c in vec]
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
-    lead = next((v for v in ints if v), 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return [Fraction(v) for v in ints]
+    return ints
+
+
+class Span:
+    """Incremental row echelon over a field: the span of the rows added so
+    far, kept as pivot-normalized rows."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = []
+        self.pivots = []
+
+    def add(self, vec):
+        """Reduce vec against the span and insert it; True when the span grew."""
+        f = self.field
+        v = list(vec)
+        for row, p in zip(self.rows, self.pivots):
+            if not f.is_zero(v[p]):
+                c = v[p]
+                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
+        p = next((i for i, c in enumerate(v) if not f.is_zero(c)), None)
+        if p is None:
+            return False
+        inv = f.inv(v[p])
+        self.rows.append([f.mul(inv, c) for c in v])
+        self.pivots.append(p)
+        return True
+
+
+def fit_hilbert_polynomial(n, points, value):
+    """Integer coefficients (a_0..a_n) with value(k) = sum a_j C(k+j, j),
+    solved on the first n+1 points and checked on the remaining ones.
+    Returns None when the values fit no such integer polynomial."""
+    fit = points[:n + 1]
+    rows = [[comb(k + j, j) for j in range(n + 1)] for k in fit]
+    sol = Matrix(QQ, rows).solve([Fraction(value(k)) for k in fit])
+    if sol is None or any(a.denominator != 1 for a in sol):
+        return None
+    coeffs = tuple(int(a) for a in sol)
+    for k in points[n + 1:]:
+        if sum(c * comb(k + j, j) for j, c in enumerate(coeffs)) != value(k):
+            return None
+    return coeffs
 
 
 def random_matrix(field, nrows, ncols, seed):

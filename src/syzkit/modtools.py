@@ -13,12 +13,12 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
-from .chow import KClass, gbinom
+from .chow import KClass
 from .errors import BudgetError, InputError
-from .fields import GF, QQ
+from .fields import GF
 from .groebner import (FreeModule, Ideal, PolyMatrix, Submodule, Vec,
                        minimal_generators, syzygies)
-from .linalg import Matrix
+from .linalg import Matrix, fit_hilbert_polynomial
 
 
 class GradedModulePresentation:
@@ -88,17 +88,10 @@ class GradedModulePresentation:
         n = self.ring.num_vars - 1
         base = max(self.max_degree(), 0) + 1
         while base <= cap:
-            pts = list(range(base, base + n + 1))
-            rows = [[gbinom(k + j, j) for j in range(n + 1)] for k in pts]
-            sol = Matrix(QQ, rows).solve([Fraction(self.piece_dim(k)) for k in pts])
-            if sol is not None and all(a.denominator == 1 for a in sol):
-                coeffs = [int(a) for a in sol]
-                ok = all(
-                    sum(c * gbinom(k + j, j) for j, c in enumerate(coeffs))
-                    == self.piece_dim(k)
-                    for k in range(base + n + 1, base + n + 4))
-                if ok:
-                    return tuple(coeffs)
+            coeffs = fit_hilbert_polynomial(n, range(base, base + n + 4),
+                                            self.piece_dim)
+            if coeffs is not None:
+                return coeffs
             base += n + 1
         raise BudgetError("Hilbert polynomial did not stabilize under the cap",
                           cap=cap)

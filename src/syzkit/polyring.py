@@ -9,7 +9,7 @@ input is rejected at construction.
 from math import comb
 
 from .errors import HomogeneityError, ParseError, RingMismatchError
-from .fields import check_same_field
+from .linalg import Matrix
 
 
 def grevlex_key(exps):
@@ -46,9 +46,6 @@ class PolyRing:
 
     def __repr__(self):
         return f"{self.field!r}[x0..x{self.num_vars - 1}]/{self.order}"
-
-    def with_order(self, order):
-        return PolyRing(self.field, self.num_vars, order)
 
     def gens(self):
         n = self.num_vars
@@ -255,32 +252,22 @@ class GradedPoly:
         return " ".join(parts)
 
 
-def graded_piece_matrix(ring, gens, d):
-    """Matrix whose rows span the degree-d piece of the ideal (gens).
-
-    Rows are monomial multiples m*g (deg m = d - deg g) written in the
-    degree-d monomial basis; row order is deterministic."""
-    rows = []
-    for g in gens:
-        if g.is_zero():
-            continue
-        if g.degree > d:
-            continue
-        for m in ring.monomials_of_degree(d - g.degree):
-            rows.append(ring.to_vector(g.mul_monomial(m), d))
-    from .linalg import Matrix
-    if not rows:
-        return Matrix(ring.field, [[ring.field.zero] * ring.piece_dim(d)])
-    return Matrix(ring.field, rows)
+def piece_multiples(ring, elems, d):
+    """The monomial multiples m*g (deg m = d - deg g) of the nonzero elems
+    of degree at most d, in a deterministic order: they span the degree-d
+    piece of the ideal or submodule that elems generate.  Elements are
+    polynomials or module elements."""
+    return [g.mul_monomial(m) for g in elems if not g.is_zero() and g.degree <= d
+            for m in ring.monomials_of_degree(d - g.degree)]
 
 
 def graded_piece_dim(ring, gens, d):
-    return graded_piece_matrix(ring, gens, d).rank()
+    """dim of the degree-d piece of the ideal (gens)."""
+    return span_dim(ring, piece_multiples(ring, gens, d), d)
 
 
 def span_dim(ring, polys, d):
     """Dimension of the linear span of homogeneous degree-d polynomials."""
-    from .linalg import Matrix
     rows = [ring.to_vector(p, d) for p in polys if not p.is_zero()]
     if not rows:
         return 0

@@ -11,7 +11,7 @@ is checked in exact rational arithmetic.
 
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .chow import (ChernVector, ChowClass, c_from_ch, ch_from_c,
                    ch_ideal_sheaf, chern_of_twist, exp_class, kclass_chi)
@@ -22,43 +22,24 @@ from .errors import (GenericityError, HypothesisError, InputError,
 from .fields import DEFAULT_PRIME, GF, QQ
 from .groebner import (FreeModule, Ideal, PolyMatrix, Submodule, Vec,
                        syzygies, vecs_from_polys)
-from .linalg import Matrix
+from .linalg import Matrix, Span, primitive_integers
 from .modtools import GradedModulePresentation, certify_locally_free, hoppe_check
-from .polyring import PolyRing, span_dim
-from .schemes import (Polarization, SubschemeData, _piece_basis_of_ideal,
-                      curve_sections, h0_ideal_twist, h1_ideal_twist,
-                      points_ideal, restrict_to_curve)
+from .polyring import PolyRing, piece_multiples, span_dim
+from .schemes import (Polarization, SubschemeData, curve_sections,
+                      h0_ideal_twist, h1_ideal_twist, points_ideal,
+                      restrict_to_curve, restriction_kernel)
 
 RETRY_BUDGET = 8
 TWIST_CAP_FACTOR = 10
 PRESENTATION_BUDGET = 12
 
 
-def _reduce_to_basis(ring, polys, degree):
-    """Deterministic linearly independent subset spanning the same piece."""
-    field = ring.field
-    picked = []
-    rows = []
-    pivots = []
-    for p in polys:
-        v = ring.to_vector(p, degree)
-        for row, piv in zip(rows, pivots):
-            if not field.is_zero(v[piv]):
-                c = v[piv]
-                v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-        piv = next((i for i, c in enumerate(v) if not field.is_zero(c)), None)
-        if piv is None:
-            continue
-        inv = field.inv(v[piv])
-        rows.append([field.mul(inv, c) for c in v])
-        pivots.append(piv)
-        picked.append(p)
-    return picked
-
-
 def ideal_piece_basis(ideal, k):
     """A basis of the degree-k piece of the ideal, deterministic order."""
-    return _reduce_to_basis(ideal.ring, _piece_basis_of_ideal(ideal, k), k)
+    ring = ideal.ring
+    span = Span(ring.field)
+    return [p for p in piece_multiples(ring, ideal.gb, k)
+            if span.add(ring.to_vector(p, k))]
 
 
 # -- generation certificates --------------------------------------------------
@@ -154,11 +135,7 @@ def check_generation(v_polys, ideal, t_max=None, points=None):
     certified_at = None
     first_mismatch = None
     for k in range(md, t_max + 1):
-        prods = []
-        for v in v_polys:
-            for mono in ring.monomials_of_degree(k - md):
-                prods.append(v.mul_monomial(mono))
-        got = span_dim(ring, prods, k)
+        got = span_dim(ring, piece_multiples(ring, v_polys, k), k)
         want = ideal.piece_dim(k)
         table.append((k, got, want))
         if got == want and k >= reg:
@@ -298,29 +275,9 @@ def _ci_restriction(z, v_basis, forms):
     The kernel is V cap (forms)_md: sections vanishing on the complete
     intersection curve; computed by three rank computations.
     """
-    ring = z.ring
-    field = ring.field
+    ci = Ideal(z.ring, forms)
     md = v_basis[0].degree
-    mons = ring.monomials_of_degree(md)
-    index = {m: i for i, m in enumerate(mons)}
-
-    def row(poly):
-        out = [field.zero] * len(mons)
-        for e, c in poly.coeffs.items():
-            out[index[e]] = c
-        return out
-
-    v_rows = [row(v) for v in v_basis]
-    rank_v = Matrix(field, v_rows).rank()
-    assert rank_v == len(v_basis), "section basis is linearly dependent"
-    ci = Ideal(ring, forms)
-    w_rows = [row(g) for g in _piece_basis_of_ideal(ci, md)]
-    if not w_rows:
-        return True, rank_v
-    rank_w = Matrix(field, w_rows).rank()
-    rank_union = Matrix(field, v_rows + w_rows).rank()
-    kernel = rank_v + rank_w - rank_union
-    return kernel == 0, rank_v - kernel
+    return restriction_kernel(v_basis, piece_multiples(z.ring, ci.gb, md))
 
 
 def _feasible_twist(z, pol, policy, mm):
@@ -353,20 +310,6 @@ def _minimal_twist(z, pol, policy):
                          cap=cap)
 
 
-def _primitive(vec):
-    """Scale a rational vector to coprime integers, exactly."""
-    den = 1
-    for c in vec:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in vec]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
-
-
 def stage_kernel_generators(ring, v_basis, scan_cap, p=DEFAULT_PRIME):
     """Generators of ker(V ⊗ R -> R(md)) by degreewise exact nullspaces.
 
@@ -391,29 +334,18 @@ def stage_kernel_generators(ring, v_basis, scan_cap, p=DEFAULT_PRIME):
     for t in range(scan_cap + 1):
         tmons = ring.monomials_of_degree(t)
         labels = [(i, mo) for i in range(dim_v) for mo in tmons]
-        big = ring.monomials_of_degree(md + t)
-        bidx = {m: i for i, m in enumerate(big)}
-        cols = []
-        for i, mo in labels:
-            prod = v_basis[i].mul_monomial(mo)
-            col = [field.zero] * len(big)
-            for e, c in prod.coeffs.items():
-                col[bidx[e]] = c
-            cols.append(col)
-        mat = Matrix(field, [[cols[j][r] for j in range(len(labels))]
-                             for r in range(len(big))])
-        kern = mat.kernel()
+        cols = [ring.to_vector(v_basis[i].mul_monomial(mo), md + t)
+                for i, mo in labels]
+        kern = Matrix(field, zip(*cols)).kernel()
         piece_dims.append(len(kern))
         basis = ambient.piece_basis(t)
         index = {b: i for i, b in enumerate(basis)}
-        span = _OnlineSpan(fp, len(basis))
-        for g in gens:
-            for mo in ring.monomials_of_degree(t - g.degree):
-                coords = g.mul_monomial(mo).coords(index, t)
-                span.add([fp(c) for c in coords])
+        span = Span(fp)
+        for w in piece_multiples(ring, gens, t):
+            span.add([fp(c) for c in w.coords(index, t)])
         for vec in kern:
             terms = {}
-            for lab, c in zip(labels, _primitive(vec)):
+            for lab, c in zip(labels, primitive_integers(vec)):
                 if c:
                     terms[lab] = field(c)
             w = Vec(ambient, terms, degree=t)
@@ -422,31 +354,6 @@ def stage_kernel_generators(ring, v_basis, scan_cap, p=DEFAULT_PRIME):
         assert len(span.rows) == len(kern), \
             "mod-p generator span missed the exact kernel piece"
     return ambient, gens, piece_dims
-
-
-class _OnlineSpan:
-    """Row space with online membership; add returns True on growth."""
-
-    def __init__(self, field, width):
-        self.field = field
-        self.rows = []
-        self.pivots = []
-        self.width = width
-
-    def add(self, vec):
-        f = self.field
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if not f.is_zero(v[p]):
-                c = v[p]
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        p = next((i for i, c in enumerate(v) if not f.is_zero(c)), None)
-        if p is None:
-            return False
-        inv = f.inv(v[p])
-        self.rows.append([f.mul(inv, c) for c in v])
-        self.pivots.append(p)
-        return True
 
 
 def _kernel_module_data(ring, v_basis, reg, image_dims):
@@ -596,13 +503,14 @@ def _build_kernel_stage(z, pol, m=None, policy="auto", seed=0, mode="numeric",
         flags["butler_applicable"] = False
 
     if mode == "module":
+        # the generation table holds dim span(V * R_t) for degrees m*d + t up
+        # to the certified degree; beyond it the span is the full ideal piece
+        table = gen_report.table
+
         def image_dims(t):
-            k = m * d + t
-            if gen_report.certified_at is not None and k >= gen_report.certified_at:
-                return z.ideal.piece_dim(k)
-            prods = [v.mul_monomial(mono) for v in v_basis
-                     for mono in ring.monomials_of_degree(t)]
-            return span_dim(ring, prods, k)
+            if t < len(table):
+                return table[t][1]
+            return z.ideal.piece_dim(m * d + t)
 
         if dim_v <= presentation_budget:
             ambient, gens, pres = _kernel_module_data(ring, v_basis, reg,
@@ -886,12 +794,7 @@ def genericity_experiment(r, n, v, trials=100, seed=0, p=None, t_cap=None):
         for t in range(t_cap + 1):
             basis = free.piece_basis(t)
             index = {b: i for i, b in enumerate(basis)}
-            rows = []
-            for w in vecs:
-                if w.is_zero():
-                    continue
-                for mono in ring.monomials_of_degree(t):
-                    rows.append(w.mul_monomial(mono).coords(index, t))
+            rows = [w.coords(index, t) for w in piece_multiples(ring, vecs, t)]
             if rows and Matrix(fp, rows).rank() == len(basis):
                 generated = True
                 break

@@ -7,6 +7,7 @@ The polarization is H = d*L; all degree arguments of the cohomology
 counters are in L units (twist by kH passes k*d here).
 """
 
+from fractions import Fraction
 from math import comb
 
 from .errors import (CodimensionError, GeometricPositionError, InputError,
@@ -14,7 +15,7 @@ from .errors import (CodimensionError, GeometricPositionError, InputError,
 from .fields import QQ
 from .groebner import Ideal
 from .linalg import Matrix
-from .polyring import PolyRing
+from .polyring import PolyRing, piece_multiples
 
 
 class Polarization:
@@ -47,7 +48,6 @@ class Polarization:
 def _point_ideal(ring, point):
     """Vanishing (prime) ideal of a single reduced point: the 2x2 minors
     of the coordinate row against the variable row."""
-    f = ring.field
     gens = []
     n = ring.num_vars
     xs = ring.gens()
@@ -64,10 +64,17 @@ def points_ideal(ring, points):
     the point primes)."""
     f = ring.field
     pts = []
+    seen = set()
     for p in points:
         cp = tuple(f(c) for c in p)
-        if all(f.is_zero(c) for c in cp):
+        lead = next((c for c in cp if not f.is_zero(c)), None)
+        if lead is None:
             raise InputError("projective point cannot be all zeros")
+        normal = tuple(f.div(c, lead) for c in cp)
+        if normal in seen:
+            raise InputError("projective point listed twice",
+                             point=[f.to_str(c) for c in cp])
+        seen.add(normal)
         pts.append(cp)
     if not pts:
         return Ideal(ring, [ring.one()])
@@ -189,8 +196,7 @@ def restrict_to_curve(z, v_basis, f):
     Returns (injective, image_dim).  The kernel of restriction is
     V ∩ f·(I_Z)_{md-deg f} (f is a nonzerodivisor mod the saturated ideal
     once C ∩ Z = ∅, which is checked first)."""
-    ring = z.ring
-    field = ring.field
+    field = z.ring.field
     if not v_basis:
         return True, 0
     target = v_basis[0].degree
@@ -209,42 +215,26 @@ def restrict_to_curve(z, v_basis, f):
         if not meet.is_projectively_empty():
             raise GeometricPositionError("curve meets the subscheme")
 
-    lower = target - f.degree
-    mons = ring.monomials_of_degree(target)
-    index = {m: i for i, m in enumerate(mons)}
+    lower = piece_multiples(z.ring, z.ideal.gb, target - f.degree)
+    return restriction_kernel(v_basis, [f * g for g in lower])
 
-    def coords(p):
-        row = [field.zero] * len(mons)
-        for e, c in p.coeffs.items():
-            row[index[e]] = c
-        return row
 
-    v_rows = [coords(p) for p in v_basis]
-    rank_v = Matrix(field, v_rows).rank()
+def restriction_kernel(v_basis, w_polys):
+    """(injective, image_dim) of V -> S_md / span(W) for a basis of V and
+    polynomials W of the same degree md.  The kernel is V ∩ span(W), of
+    dimension rank V + rank W - rank(V + W)."""
+    ring = v_basis[0].ring
+    md = v_basis[0].degree
+    v_rows = [ring.to_vector(p, md) for p in v_basis]
+    rank_v = Matrix(ring.field, v_rows).rank()
     assert rank_v == len(v_basis), "section basis is linearly dependent"
-    ideal_lower = _piece_basis_of_ideal(z.ideal, lower)
-    fi_rows = [coords(f * g) for g in ideal_lower]
-    if fi_rows:
-        rank_fi = Matrix(field, fi_rows).rank()
-        rank_union = Matrix(field, v_rows + fi_rows).rank()
-        kernel_dim = rank_v + rank_fi - rank_union
-    else:
-        kernel_dim = 0
-    return kernel_dim == 0, rank_v - kernel_dim
-
-
-def _piece_basis_of_ideal(ideal, d):
-    """Polynomials spanning the degree-d piece of the ideal (not reduced
-    to a basis; rank computations absorb dependence)."""
-    if d < 0:
-        return []
-    out = []
-    ring = ideal.ring
-    for g in ideal.gb:
-        if g.degree <= d:
-            for m in ring.monomials_of_degree(d - g.degree):
-                out.append(g.mul_monomial(m))
-    return out
+    if not w_polys:
+        return True, rank_v
+    w_rows = [ring.to_vector(p, md) for p in w_polys]
+    rank_w = Matrix(ring.field, w_rows).rank()
+    rank_union = Matrix(ring.field, v_rows + w_rows).rank()
+    kernel = rank_v + rank_w - rank_union
+    return kernel == 0, rank_v - kernel
 
 
 # -- builtin instances -------------------------------------------------------
@@ -312,10 +302,10 @@ def parse_subscheme_file(text, field=QQ):
             continue
         low = line.lower()
         if low.startswith("ambient:"):
-            n = int(line.split(":", 1)[1])
+            n = _parse_int(line)
             continue
         if low.startswith("d:"):
-            d = int(line.split(":", 1)[1])
+            d = _parse_int(line)
             continue
         if low == "points:":
             mode = "points"
@@ -352,6 +342,15 @@ def parse_subscheme_file(text, field=QQ):
     return z, Polarization(n, d)
 
 
+def _parse_int(line):
+    try:
+        return int(line.split(":", 1)[1])
+    except ValueError:
+        raise InputError(f"expected an integer in header line: {line!r}") from None
+
+
 def _parse_coord(tok):
-    from fractions import Fraction
-    return Fraction(tok)
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"coordinate {tok!r} is not a rational number") from None

@@ -153,6 +153,11 @@ def test_kclass_additivity_on_ideal_sequence():
         assert i_z.chi(k) == comb(k + 2, 2) - 3
 
 
+def test_kclass_from_chi_rejects_non_polynomial_values():
+    with pytest.raises(AssertionError):
+        KClass.from_chi(1, [1, 2, 3, 5])
+
+
 def test_kclass_from_chi_and_twist():
     k = KClass.from_chi(3, [1, 4, 10, 20])
     assert k.coeffs == KClass.of_line_bundle(3, 0).coeffs

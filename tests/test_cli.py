@@ -166,6 +166,43 @@ def test_text_format(capsys):
     assert "slope: -5/3" in out
 
 
+POINTS_HEADER = "ambient: 2\nd: 3\npoints:\n"
+
+
+@pytest.mark.parametrize("argv, text, prime", [
+    (["resolve", "--input", "FILE"], POINTS_HEADER + "1 0 0\n2 0 0\n0 1 0\n", None),
+    (["resolve", "--input", "FILE"], "ambient: 2\nd: x\npoints:\n1 0 0\n", None),
+    (["resolve", "--input", "FILE"], "ambient: x\nd: 3\npoints:\n1 0 0\n", None),
+    (["resolve", "--input", "FILE"], POINTS_HEADER + "1 0 0\n0 1 a\n", None),
+    (["resolve", "--input", "FILE"], POINTS_HEADER + "1 0 0\n0 1 1/0\n", None),
+    (["resolve", "--input", "FILE"], None, None),
+    (["verify", "whitney", "--trials", "5"], None, "abc"),
+    (["verify", "whitney", "--trials", "-5"], None, None),
+    (["verify", "genericity", "--r", "1", "--n", "2", "--v", "3",
+      "--trials", "0"], None, None),
+    (["verify", "genericity", "--r", "0", "--n", "2", "--v", "2"], None, None),
+    (["verify", "genericity", "--r", "1", "--n", "0", "--v", "2"], None, None),
+    (["verify", "genericity", "--r", "1", "--n", "2", "--v", "0"], None, None),
+    (["verify", "uniformity", "--d", "3", "--m", "1", "--points", "0"],
+     None, None),
+], ids=["duplicate-points", "d-not-int", "ambient-not-int", "coord-not-rational",
+        "coord-zero-denominator", "missing-file", "env-prime-not-int",
+        "negative-trials", "zero-trials", "zero-r", "zero-n", "zero-v",
+        "zero-points"])
+def test_bad_input_exits_with_input_payload(capsys, monkeypatch, tmp_path,
+                                           argv, text, prime):
+    path = tmp_path / "z.txt"
+    if text is not None:
+        path.write_text(text)
+    if prime is None:
+        monkeypatch.delenv("SYZKIT_PRIME", raising=False)
+    else:
+        monkeypatch.setenv("SYZKIT_PRIME", prime)
+    code, out = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert code == 1
+    assert json.loads(out)["code"] == "input"
+
+
 def test_unknown_suite_rejected_by_parser():
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])

@@ -1,0 +1,65 @@
+"""Import layering of the syzkit modules: each module imports only modules
+that come before it in LAYERS, never another module's private names, and
+never from inside a function body."""
+
+import ast
+import pathlib
+
+import pytest
+
+LAYERS = ("errors", "fields", "linalg", "polyring", "groebner", "chow",
+          "curves", "schemes", "modtools", "resolver", "cli")
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "syzkit"
+
+
+def _trees():
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem != "__init__":
+            out[path.stem] = ast.parse(path.read_text(), filename=str(path))
+    return out
+
+
+def _syzkit_imports(tree):
+    """(line, imported module, imported names) for every import of a syzkit
+    module, at any depth of the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+            if node.level == 1 and node.module:
+                yield node.lineno, node.module, names
+            elif node.level == 1:
+                for name in names:
+                    yield node.lineno, name, []
+            elif node.module and node.module.startswith("syzkit."):
+                yield node.lineno, node.module.split(".")[1], names
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("syzkit."):
+                    yield node.lineno, alias.name.split(".")[1], []
+
+
+def test_every_module_has_a_layer():
+    assert set(_trees()) == set(LAYERS)
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_imports_follow_the_layers(module):
+    tree = _trees()[module]
+    rank = LAYERS.index(module)
+    for line, target, names in _syzkit_imports(tree):
+        assert LAYERS.index(target) < rank, \
+            f"{module}.py:{line} imports {target}, a later layer"
+        private = [n for n in names if n.startswith("_")]
+        assert not private, f"{module}.py:{line} imports private {private}"
+
+
+@pytest.mark.parametrize("module", LAYERS)
+def test_no_imports_inside_functions(module):
+    tree = _trees()[module]
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                assert not isinstance(node, (ast.Import, ast.ImportFrom)), \
+                    f"{module}.py:{node.lineno} imports inside {fn.name}"

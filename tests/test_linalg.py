@@ -1,13 +1,16 @@
-"""Exact linear algebra: rank, kernel, rank-nullity, determinism."""
+"""Exact linear algebra: rank, kernel, rank-nullity, determinism, the
+incremental span, primitive scaling and the Hilbert-polynomial fit."""
 
 import random
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
 from syzkit.errors import UnsupportedFieldError
 from syzkit.fields import GF, QQ
-from syzkit.linalg import Matrix, random_int_matrix, random_matrix
+from syzkit.linalg import (Matrix, Span, fit_hilbert_polynomial,
+                           primitive_integers, random_int_matrix, random_matrix)
 
 
 def test_identity_rank_and_kernel():
@@ -131,3 +134,51 @@ def test_matrix_product_and_transpose():
     assert b.rows == [[Fraction(1), Fraction(4)], [Fraction(0), Fraction(1)]]
     assert a.transpose().rows == [[Fraction(1), Fraction(0)],
                                   [Fraction(2), Fraction(1)]]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_span_agrees_with_matrix_rank(field):
+    rng = random.Random(7)
+    for _ in range(40):
+        ncols = rng.randrange(1, 7)
+        rows = []
+        for _ in range(rng.randrange(1, 9)):
+            kind = rng.random()
+            if kind < 0.15:
+                rows.append([0] * ncols)
+            elif kind < 0.3 and rows:
+                rows.append(list(rng.choice(rows)))
+            elif kind < 0.45 and len(rows) >= 2:
+                a, b = rng.sample(rows, 2)
+                rows.append([x + 2 * y for x, y in zip(a, b)])
+            else:
+                rows.append([rng.randrange(-3, 4) for _ in range(ncols)])
+        rows = [[field(c) for c in r] for r in rows]
+        span = Span(field)
+        for i, r in enumerate(rows):
+            before = Matrix(field, rows[:i]).rank() if i else 0
+            grew = span.add(r)
+            assert grew == (Matrix(field, rows[:i + 1]).rank() > before)
+        assert len(span.rows) == Matrix(field, rows).rank()
+
+
+def test_primitive_integers():
+    vec = [Fraction(-2, 3), Fraction(4, 9), 0, Fraction(-10, 3)]
+    ints = primitive_integers(vec)
+    assert ints == [-3, 2, 0, -15]
+    assert gcd(*ints) == 1
+    # proportional to the input, sign of every entry unchanged
+    assert all(Fraction(a) * vec[0] == b * ints[0] for a, b in zip(ints, vec))
+    assert primitive_integers([Fraction(0)] * 3) == [0, 0, 0]
+    assert primitive_integers([4, 6, -8]) == [2, 3, -4]
+
+
+def test_fit_hilbert_polynomial():
+    # C(k+2, 2) is the Hilbert polynomial of k[x0, x1, x2]
+    assert fit_hilbert_polynomial(2, range(5), lambda k: comb(k + 2, 2)) \
+        == (0, 0, 1)
+    assert fit_hilbert_polynomial(1, range(3, 7), lambda k: 2 * k - 5) == (-7, 2)
+    # values with a non-integer binomial coefficient
+    assert fit_hilbert_polynomial(1, range(4), lambda k: Fraction(k, 2)) is None
+    # the fit points agree with a line, a check point does not
+    assert fit_hilbert_polynomial(1, range(4), lambda k: min(k, 2)) is None

@@ -245,3 +245,12 @@ def test_presentation_hilbert_data():
     tw = full.twist(-1)  # O(-1)
     assert tw.piece_dim(1) == 1
     assert tw.gen_shifts == (1,)
+
+
+def test_presentation_hilbert_polynomial_retries_past_irregular_values():
+    ring = PolyRing(QQ, 2)
+    pres = GradedModulePresentation.free_module(ring, (0,))
+    # a Hilbert function that reaches its polynomial k + 1 only from k = 3:
+    # the first fit window fails its check points and the next one is used
+    pres.piece_dim = lambda k: k + 1 if k >= 3 else 7
+    assert pres.hilbert_polynomial() == (0, 1)

@@ -8,7 +8,7 @@ import pytest
 from syzkit.errors import HomogeneityError, ParseError, RingMismatchError
 from syzkit.fields import GF, QQ
 from syzkit.polyring import (GradedPoly, PolyRing, graded_piece_dim,
-                             graded_piece_matrix, grevlex_key, span_dim)
+                             grevlex_key, piece_multiples, span_dim)
 
 
 def test_piece_dimension_binomial():
@@ -56,7 +56,8 @@ def test_multiply_against_evaluation_homomorphism():
 def test_graded_piece_matrix_linear_ideal():
     ring = PolyRing(QQ, 3)
     x, y, _ = ring.gens()
-    assert graded_piece_matrix(ring, [x, y], 1).rank() == 2
+    assert len(piece_multiples(ring, [x, y], 1)) == 2
+    assert graded_piece_dim(ring, [x, y], 1) == 2
     # degree 2: everything except z^2
     assert graded_piece_dim(ring, [x, y], 2) == 5
 

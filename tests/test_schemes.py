@@ -120,7 +120,6 @@ def test_polarization_genus_and_warning():
 def test_restrict_full_section_space_not_injective():
     z = three_points()
     ring = z.ring
-    from syzkit.schemes import _piece_basis_of_ideal
     from syzkit.resolver import ideal_piece_basis
     v = ideal_piece_basis(z.ideal, 6)
     assert len(v) == 25
