@@ -11,7 +11,7 @@ values print in H = dL.
 from fractions import Fraction
 from math import factorial
 
-from .errors import CoprimalityError, InputError
+from .errors import CertificateError, CoprimalityError, InputError
 from .fields import QQ
 from .linalg import Matrix, fit_hilbert_polynomial
 
@@ -100,8 +100,11 @@ class ChowClass:
         return all(c.denominator == 1 for c in self.coeffs)
 
     def l_ints(self):
-        """Integer coefficients in the L basis; asserts integrality."""
-        assert self.is_integral()
+        """Integer coefficients in the L basis; CertificateError unless
+        every coefficient is an integer."""
+        if not self.is_integral():
+            raise CertificateError("class is not integral in the L basis",
+                                   coeffs=self.coeffs)
         return tuple(int(c) for c in self.coeffs)
 
     def integrate(self):
@@ -287,7 +290,9 @@ class KClass:
         """Recover the integer binomial coefficients from chi at k = 0..n
         plus verification points (values may be longer than n+1)."""
         coeffs = fit_hilbert_polynomial(n, range(len(values)), values.__getitem__)
-        assert coeffs is not None
+        if coeffs is None:
+            raise CertificateError("chi values fit no integer Hilbert "
+                                   "polynomial", values=values)
         return cls(n, coeffs)
 
     @classmethod

@@ -92,3 +92,9 @@ class BudgetError(SyzkitError):
 
 class InputError(SyzkitError):
     code = "input"
+
+
+class CertificateError(SyzkitError):
+    """An exact check that a computed result must pass did not hold."""
+
+    code = "certificate-failed"

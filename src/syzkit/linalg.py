@@ -4,16 +4,19 @@ binomial-basis Hilbert polynomial.
 
 Over Q the forward elimination is fraction-free (Bareiss): rows are scaled
 to integers once and every intermediate entry stays an integer (a minor of
-the scaled matrix), so no rational blow-up occurs mid-elimination.  Kernel
-extraction back-substitutes over Fraction afterwards.  Over F_p elimination
-is plain row reduction mod p.
+the scaled matrix), so no rational blow-up occurs mid-elimination.  The
+kernel stays fraction-free too: back-substitution on the Bareiss echelon
+keeps an integer vector and rescales it only by what the next pivot
+division needs, and each kernel vector is verified exactly against every
+scaled integer row.  Over F_p elimination is plain row reduction mod p,
+to the reduced echelon form, and kernel vectors are read off it.
 """
 
 import random
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .errors import UnsupportedFieldError
+from .errors import CertificateError, UnsupportedFieldError
 from .fields import GF, QQ, PrimeField, check_same_field
 
 
@@ -72,14 +75,24 @@ class Matrix:
         return self._echelon()[0]
 
     def rank_and_kernel(self):
-        """Return (rank, kernel basis).  Rank-nullity is asserted, and every
-        kernel vector is re-multiplied through the matrix exactly."""
-        rank, pivots, rows = self._echelon()
-        kernel = self._kernel_from_echelon(pivots, rows)
-        assert rank + len(kernel) == self.ncols
-        for v in kernel:
-            img = self.mul_vector(v)
-            assert all(self.field.is_zero(c) for c in img)
+        """Return (rank, kernel basis), one basis vector per free column.
+        Over Q each vector is a primitive integer vector with a positive
+        leading entry, given as Fractions.  Certified by rank-nullity and by
+        an exact integer product of every kernel vector with every row of
+        the scaled matrix; a failure raises CertificateError."""
+        rank, pivots, echelon, ints = self._echelon()
+        if isinstance(self.field, PrimeField):
+            p = self.field.p
+            kernel = _kernel_from_rref(pivots, echelon, self.ncols, p)
+        else:
+            p = None
+            kernel = _integer_kernel(pivots, echelon, self.ncols)
+        if rank + len(kernel) != self.ncols:
+            raise CertificateError("kernel fails rank-nullity", rank=rank,
+                                   nullity=len(kernel), ncols=self.ncols)
+        _verify_kernel(ints, kernel, p)
+        if p is None:
+            kernel = [[Fraction(c) for c in w] for w in kernel]
         return rank, kernel
 
     def kernel(self):
@@ -90,7 +103,7 @@ class Matrix:
         f = self.field
         aug = Matrix(f, [row + [b[i]] for i, row in enumerate(self.rows)])
         rank_a = self.rank()
-        rank_aug, pivots, rows = aug._echelon()
+        rank_aug, pivots, rows, _ = aug._echelon()
         if rank_aug != rank_a:
             return None
         # back substitution on the echelon form, treating the last column as rhs
@@ -102,17 +115,24 @@ class Matrix:
                 acc = f.sub(acc, f.mul(rows[i][j], x[j]))
             x[p] = f.div(acc, rows[i][p])
         check = self.mul_vector(x)
-        assert all(f.is_zero(f.sub(check[i], b[i])) for i in range(self.nrows))
+        if not all(f.is_zero(f.sub(c, bi)) for c, bi in zip(check, b)):
+            raise CertificateError("solution fails A x = b")
         return x
 
     def _echelon(self):
+        """(rank, pivots, echelon rows, integer rows).  The integer rows are
+        the matrix as residues mod p, or over Q each row scaled to primitive
+        integers; elimination replaces rows and never mutates one, so they
+        come back unchanged."""
         if isinstance(self.field, PrimeField):
-            return self._echelon_fp()
-        return self._echelon_qq()
+            p = self.field.p
+            ints = [[int(c) % p for c in r] for r in self.rows]
+            return (*self._echelon_fp(list(ints)), ints)
+        ints = [primitive_integers(r) for r in self.rows]
+        return (*self._echelon_qq(list(ints)), ints)
 
-    def _echelon_fp(self):
+    def _echelon_fp(self, rows):
         p = self.field.p
-        rows = [[int(c) % p for c in r] for r in self.rows]
         pivots = []
         r = 0
         for c in range(self.ncols):
@@ -132,9 +152,7 @@ class Matrix:
                 break
         return r, pivots, rows
 
-    def _echelon_qq(self):
-        # scale each row to a primitive integer row, then Bareiss
-        rows = [primitive_integers(r) for r in self.rows]
+    def _echelon_qq(self, rows):
         pivots = []
         prev = 1
         r = 0
@@ -162,35 +180,61 @@ class Matrix:
                 break
         return r, pivots, rows[:r]
 
-    def _kernel_from_echelon(self, pivots, rows):
-        f = self.field
-        rank = len(pivots)
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(self.ncols) if c not in pivot_set]
-        basis = []
-        for fc in free_cols:
-            v = [f.zero] * self.ncols
-            v[fc] = f.one
-            for i in reversed(range(rank)):
-                p = pivots[i]
-                acc = f.zero
-                for j in range(p + 1, self.ncols):
-                    if not f.is_zero(v[j]):
-                        acc = f.add(acc, f.mul(_coerce(f, rows[i][j]), v[j]))
-                v[p] = f.neg(f.div(acc, _coerce(f, rows[i][p])))
-            if not isinstance(f, PrimeField):
-                ints = primitive_integers(v)
-                if next((c for c in ints if c), 0) < 0:
-                    ints = [-c for c in ints]
-                v = [Fraction(c) for c in ints]
-            basis.append(v)
-        return basis
+
+def _kernel_from_rref(pivots, rows, ncols, p):
+    """Kernel basis mod p from a reduced row echelon form."""
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v = [0] * ncols
+        v[fc] = 1
+        for p_i, row in zip(pivots, rows):
+            v[p_i] = -row[fc] % p
+        basis.append(v)
+    return basis
 
 
-def _coerce(field, v):
-    if isinstance(field, PrimeField):
-        return v % field.p
-    return Fraction(v)
+def _integer_kernel(pivots, rows, ncols):
+    """Kernel basis over Q from a Bareiss echelon, in integers throughout:
+    per free column, a primitive integer vector with a positive leading
+    entry (the rational back-substitution scaled to coprime integers)."""
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        w = [0] * ncols
+        w[fc] = 1
+        support = [fc]
+        for i in reversed(range(len(pivots))):
+            p, row = pivots[i], rows[i]
+            # row is zero left of its pivot, so the sum only sees j > p
+            s = sum(row[j] * w[j] for j in support)
+            if s:
+                rp = row[p]
+                scale = abs(rp // gcd(s, rp))
+                if scale != 1:
+                    w = [c * scale for c in w]
+                w[p] = -s * scale // rp
+                support.append(p)
+        g = gcd(*w)
+        if w[min(support)] < 0:
+            g = -g
+        basis.append([c // g for c in w])
+    return basis
+
+
+def _verify_kernel(rows, kernel, p):
+    """Certificate: every kernel vector times every integer row is zero
+    (mod p unless p is None), summed over the vector's nonzero entries."""
+    for w in kernel:
+        nonzero = [(j, c) for j, c in enumerate(w) if c]
+        for row in rows:
+            s = sum(row[j] * c for j, c in nonzero)
+            if s and (p is None or s % p):
+                raise CertificateError("kernel vector is not in the kernel")
 
 
 def _dot(field, u, v):
@@ -223,6 +267,8 @@ class Span:
     def add(self, vec):
         """Reduce vec against the span and insert it; True when the span grew."""
         f = self.field
+        if isinstance(f, PrimeField):
+            return self._add_mod(vec, f.p)
         v = list(vec)
         for row, p in zip(self.rows, self.pivots):
             if not f.is_zero(v[p]):
@@ -234,6 +280,21 @@ class Span:
         inv = f.inv(v[p])
         self.rows.append([f.mul(inv, c) for c in v])
         self.pivots.append(p)
+        return True
+
+    def _add_mod(self, vec, p):
+        # add() over F_p on raw residues, without per-element field calls
+        v = [c % p for c in vec]
+        for row, piv in zip(self.rows, self.pivots):
+            c = v[piv]
+            if c:
+                v = [(a - c * b) % p for a, b in zip(v, row)]
+        piv = next((i for i, c in enumerate(v) if c), None)
+        if piv is None:
+            return False
+        inv = pow(v[piv], p - 2, p)
+        self.rows.append([inv * c % p for c in v])
+        self.pivots.append(piv)
         return True
 
 

@@ -17,12 +17,12 @@ from .chow import (ChernVector, ChowClass, c_from_ch, ch_from_c,
                    ch_ideal_sheaf, chern_of_twist, exp_class, kclass_chi)
 from .curves import (CurveBundleInvariants, butler_kernel_invariants,
                      restriction_bookkeeping)
-from .errors import (GenericityError, HypothesisError, InputError,
-                     SpecialityError, ThresholdError)
+from .errors import (CertificateError, GenericityError, HypothesisError,
+                     InputError, SpecialityError, ThresholdError)
 from .fields import DEFAULT_PRIME, GF, QQ
 from .groebner import (FreeModule, Ideal, PolyMatrix, Submodule, Vec,
                        syzygies, vecs_from_polys)
-from .linalg import Matrix, Span, primitive_integers
+from .linalg import Matrix, Span
 from .modtools import GradedModulePresentation, certify_locally_free, hoppe_check
 from .polyring import PolyRing, piece_multiples, span_dim
 from .schemes import (Polarization, SubschemeData, curve_sections,
@@ -320,7 +320,8 @@ def stage_kernel_generators(ring, v_basis, scan_cap, p=DEFAULT_PRIME):
     still certified: every row reduces from an integer vector inside the
     exact kernel lattice, so the mod-p span dimension is at most the
     rational piece dimension, and reaching it proves the chosen
-    generators span over Q as well (asserted per degree).
+    generators span over Q as well (checked per degree, CertificateError
+    otherwise).
     Returns (ambient, gens, piece_dims) with piece_dims[t] = dim (K)_t
     for t = 0..scan_cap.
     """
@@ -345,14 +346,16 @@ def stage_kernel_generators(ring, v_basis, scan_cap, p=DEFAULT_PRIME):
             span.add([fp(c) for c in w.coords(index, t)])
         for vec in kern:
             terms = {}
-            for lab, c in zip(labels, primitive_integers(vec)):
+            for lab, c in zip(labels, vec):
                 if c:
-                    terms[lab] = field(c)
+                    terms[lab] = c
             w = Vec(ambient, terms, degree=t)
             if span.add([fp(c) for c in w.coords(index, t)]):
                 gens.append(w)
-        assert len(span.rows) == len(kern), \
-            "mod-p generator span missed the exact kernel piece"
+        if len(span.rows) != len(kern):
+            raise CertificateError(
+                "mod-p generator span missed the exact kernel piece",
+                degree=t, span=len(span.rows), kernel=len(kern))
     return ambient, gens, piece_dims
 
 

@@ -1,5 +1,6 @@
-"""Exact linear algebra: rank, kernel, rank-nullity, determinism, the
-incremental span, primitive scaling and the Hilbert-polynomial fit."""
+"""Exact linear algebra: rank, kernel (with its certificates and a sympy
+differential test), rank-nullity, determinism, the incremental span,
+primitive scaling and the Hilbert-polynomial fit."""
 
 import random
 from fractions import Fraction
@@ -7,7 +8,8 @@ from math import comb, gcd
 
 import pytest
 
-from syzkit.errors import UnsupportedFieldError
+from syzkit import linalg
+from syzkit.errors import CertificateError, UnsupportedFieldError
 from syzkit.fields import GF, QQ
 from syzkit.linalg import (Matrix, Span, fit_hilbert_polynomial,
                            primitive_integers, random_int_matrix, random_matrix)
@@ -58,6 +60,85 @@ def test_rank_nullity_and_exact_kernel_200_random():
         assert rank <= min(nr, nc)
         for v in kernel:
             assert all(fp.is_zero(c) for c in m.mul_vector(v))
+
+
+def _canonical(vec):
+    """Primitive integers with a positive leading entry."""
+    ints = primitive_integers([Fraction(c) for c in vec])
+    return [-c for c in ints] if next(c for c in ints if c) < 0 else ints
+
+
+def _random_q_matrix(rng):
+    """Seeded rational matrix: random shape (1 x n and n x 1 included),
+    zero columns, dependent rows, denominators and 10+ digit entries."""
+    nr, nc = rng.choice([(1, rng.randrange(1, 8)), (rng.randrange(1, 8), 1),
+                         (rng.randrange(1, 8), rng.randrange(1, 8))])
+    big = rng.random() < 0.3
+    rows = []
+    for _ in range(nr):
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows), rng.choice(rows)
+            k = Fraction(rng.randrange(-5, 6), rng.randrange(1, 4))
+            rows.append([x + k * y for x, y in zip(a, b)])
+            continue
+        row = []
+        for _ in range(nc):
+            num = rng.randrange(-10 ** 12, 10 ** 12) if big \
+                else rng.randrange(-4, 5)
+            row.append(Fraction(num, rng.randrange(1, 7)))
+        rows.append(row)
+    for j in range(nc):
+        if rng.random() < 0.15:
+            for row in rows:
+                row[j] = Fraction(0)
+    return Matrix(QQ, rows)
+
+
+def test_q_kernel_matches_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random("sympy-kernel")
+    for _ in range(120):
+        m = _random_q_matrix(rng)
+        rank, kernel = m.rank_and_kernel()
+        ref = sympy.Matrix(m.rows).nullspace()
+        assert rank == sympy.Matrix(m.rows).rank()
+        assert kernel == [[Fraction(c) for c in _canonical(
+            [Fraction(int(x.p), int(x.q)) for x in v])] for v in ref]
+        assert kernel == [[Fraction(c) for c in _canonical(v)] for v in kernel]
+
+
+def test_q_kernel_rescales_at_non_unit_pivots():
+    # echelon pivots 2 and 3: back-substitution from the free column z must
+    # scale the integer vector by 3, then by 2, to keep every division exact
+    m = Matrix(QQ, [[Fraction(2), Fraction(0), Fraction(1)],
+                    [Fraction(0), Fraction(3), Fraction(1)]])
+    rank, kernel = m.rank_and_kernel()
+    assert rank == 2
+    assert kernel == [[Fraction(3), Fraction(2), Fraction(-6)]]
+    # the leading entry is made positive
+    m = Matrix(QQ, [[Fraction(2), Fraction(4), Fraction(0)],
+                    [Fraction(0), Fraction(0), Fraction(5)]])
+    assert m.kernel() == [[Fraction(2), Fraction(-1), Fraction(0)]]
+
+
+def test_corrupted_kernel_vector_is_rejected(monkeypatch):
+    m = Matrix(QQ, [[Fraction(1), Fraction(2), Fraction(3)],
+                    [Fraction(4), Fraction(5), Fraction(6)]])
+    assert m.kernel() == [[Fraction(1), Fraction(-2), Fraction(1)]]
+    honest = linalg._integer_kernel
+
+    def corrupt(pivots, rows, ncols):
+        basis = honest(pivots, rows, ncols)
+        basis[0][0] += 1
+        return basis
+
+    monkeypatch.setattr(linalg, "_integer_kernel", corrupt)
+    with pytest.raises(CertificateError):
+        m.rank_and_kernel()
+    monkeypatch.setattr(linalg, "_integer_kernel",
+                        lambda pivots, rows, ncols: [])
+    with pytest.raises(CertificateError):
+        m.rank_and_kernel()
 
 
 def test_fp_rank_never_exceeds_q_rank():
@@ -160,6 +241,15 @@ def test_span_agrees_with_matrix_rank(field):
             grew = span.add(r)
             assert grew == (Matrix(field, rows[:i + 1]).rank() > before)
         assert len(span.rows) == Matrix(field, rows).rank()
+
+
+def test_span_mod_p_reduces_raw_integers():
+    span = Span(GF(7))
+    assert span.add([8, 14, -1])
+    assert span.rows == [[1, 0, 6]]
+    assert not span.add([3, 7, 4])
+    assert span.add([0, 9, 0])
+    assert span.pivots == [0, 1]
 
 
 def test_primitive_integers():
