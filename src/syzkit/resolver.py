@@ -11,7 +11,7 @@ is checked in exact rational arithmetic.
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .chow import (ChernVector, ChowClass, c_from_ch, ch_from_c,
                    ch_ideal_sheaf, chern_of_twist, exp_class, kclass_chi)
@@ -19,10 +19,10 @@ from .curves import (CurveBundleInvariants, butler_kernel_invariants,
                      restriction_bookkeeping)
 from .errors import (CertificateError, GenericityError, HypothesisError,
                      InputError, SpecialityError, ThresholdError)
-from .fields import DEFAULT_PRIME, GF, QQ
+from .fields import DEFAULT_PRIME, GF, QQ, PrimeField
 from .groebner import (FreeModule, Ideal, PolyMatrix, Submodule, Vec,
                        syzygies, vecs_from_polys)
-from .linalg import Matrix, Span
+from .linalg import Matrix, Span, primitive_integers
 from .modtools import GradedModulePresentation, certify_locally_free, hoppe_check
 from .polyring import PolyRing, piece_multiples, span_dim
 from .schemes import (Polarization, SubschemeData, curve_sections,
@@ -79,23 +79,48 @@ class GenerationReport:
 
 
 def _gradient_rank_at(ring, polys, point):
-    """Rank of the Jacobian of the polys at a point where they all vanish."""
+    """Rank of the Jacobian of the polys at a point where they all vanish.
+
+    Over Q the work is in integers: each poly is scaled to primitive
+    integer coefficients and the point by the lcm of its denominators.
+    Either scaling multiplies a Jacobian row by a nonzero constant, so the
+    rank is unchanged."""
     field = ring.field
     n = ring.num_vars
+    if isinstance(field, PrimeField):
+        rows = []
+        for p in polys:
+            row = []
+            for i in range(n):
+                acc = field.zero
+                for e, c in p.coeffs.items():
+                    if e[i] == 0:
+                        continue
+                    val = field.mul(c, field(e[i]))
+                    for j, pj in enumerate(point):
+                        k = e[j] - (1 if j == i else 0)
+                        for _ in range(k):
+                            val = field.mul(val, pj)
+                    acc = field.add(acc, val)
+                row.append(acc)
+            rows.append(row)
+        return Matrix(field, rows).rank()
+    den = lcm(*(c.denominator for c in point))
+    coords = [int(c * den) for c in point]
+    top = max(p.degree for p in polys)
+    powers = [[x ** k for k in range(top)] for x in coords]
     rows = []
     for p in polys:
+        terms = list(zip(p.coeffs, primitive_integers(list(p.coeffs.values()))))
         row = []
         for i in range(n):
-            acc = field.zero
-            for e, c in p.coeffs.items():
-                if e[i] == 0:
-                    continue
-                val = field.mul(c, field(e[i]))
-                for j, pj in enumerate(point):
-                    k = e[j] - (1 if j == i else 0)
-                    for _ in range(k):
-                        val = field.mul(val, pj)
-                acc = field.add(acc, val)
+            acc = 0
+            for e, c in terms:
+                if e[i]:
+                    val = c * e[i]
+                    for j, (pw, k) in enumerate(zip(powers, e)):
+                        val *= pw[k - 1 if j == i else k]
+                    acc += val
             row.append(acc)
         rows.append(row)
     return Matrix(field, rows).rank()
@@ -343,20 +368,30 @@ def stage_kernel_generators(ring, v_basis, scan_cap, p=DEFAULT_PRIME):
         index = {b: i for i, b in enumerate(basis)}
         span = Span(fp)
         for w in piece_multiples(ring, gens, t):
-            span.add([fp(c) for c in w.coords(index, t)])
+            span.add(_integer_coords(w, index, t))
         for vec in kern:
             terms = {}
             for lab, c in zip(labels, vec):
                 if c:
                     terms[lab] = c
             w = Vec(ambient, terms, degree=t)
-            if span.add([fp(c) for c in w.coords(index, t)]):
+            if span.add(_integer_coords(w, index, t)):
                 gens.append(w)
         if len(span.rows) != len(kern):
             raise CertificateError(
                 "mod-p generator span missed the exact kernel piece",
                 degree=t, span=len(span.rows), kernel=len(kern))
     return ambient, gens, piece_dims
+
+
+def _integer_coords(w, index, t):
+    """The coordinates of a kernel-lattice element as integers, for the
+    mod-p span; a coordinate off the lattice raises CertificateError."""
+    coords = w.coords(index, t)
+    if any(c.denominator != 1 for c in coords):
+        raise CertificateError("kernel generator has a non-integer coordinate",
+                               degree=t)
+    return [c.numerator for c in coords]
 
 
 def _kernel_module_data(ring, v_basis, reg, image_dims):

@@ -1,5 +1,5 @@
-"""The exact certificates must not depend on `assert`: the linear-algebra
-and Chow suites also pass when Python runs with -O."""
+"""The exact certificates must not depend on `assert`: the linear-algebra,
+Chow and subscheme suites also pass when Python runs with -O."""
 
 import os
 import pathlib
@@ -9,13 +9,13 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_linalg_and_chow_pass_under_python_O():
+def test_certificate_suites_pass_under_python_O():
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_linalg.py", "tests/test_chow.py"],
+         "tests/test_linalg.py", "tests/test_chow.py", "tests/test_schemes.py"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

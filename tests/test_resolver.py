@@ -1,17 +1,21 @@
 """Kernel stages, the chain on P^3, and the seeded experiments."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from syzkit.errors import GenericityError, InputError, ThresholdError
+from syzkit.errors import (CertificateError, GenericityError, InputError,
+                           ThresholdError)
 from syzkit.polyring import PolyRing
 from syzkit.fields import QQ
 from syzkit.groebner import Ideal
-from syzkit.resolver import (build_chain, build_surface_kernel,
+from syzkit.linalg import Matrix
+from syzkit.resolver import (_gradient_rank_at, build_chain, build_surface_kernel,
                              chain_character_residual, check_generation,
                              genericity_experiment, hoppe_stage,
-                             ideal_piece_basis, uniformity_experiment)
+                             ideal_piece_basis, stage_kernel_generators,
+                             uniformity_experiment)
 from syzkit.schemes import Polarization, builtin_subscheme
 
 
@@ -40,6 +44,59 @@ def test_generation_false_with_fiber_witness():
     assert rep.verdict == "false"
     assert rep.fiber_witness == ["0", "1", "0"]
     assert rep.first_mismatch == 2
+
+
+def _fraction_jacobian_rank(ring, polys, point):
+    """Reference: the Jacobian at the point in Fraction arithmetic."""
+    rows = []
+    for p in polys:
+        row = []
+        for i in range(ring.num_vars):
+            acc = Fraction(0)
+            for e, c in p.coeffs.items():
+                if e[i]:
+                    val = c * e[i]
+                    for j, x in enumerate(point):
+                        val *= x ** (e[j] - (j == i))
+                    acc += val
+            row.append(acc)
+        rows.append(row)
+    return Matrix(QQ, rows).rank()
+
+
+def test_integer_jacobian_rank_matches_fraction_jacobian():
+    rng = random.Random("jacobian")
+
+    def rational():
+        return Fraction(rng.randrange(-6, 7), rng.choice((1, 2, 3, 5)))
+
+    ranks = set()
+    for _ in range(60):
+        ring = PolyRing(QQ, rng.choice((3, 4)))
+        n = ring.num_vars
+        point = [rational() for _ in range(n)]
+        if not any(point):
+            continue
+        polys = []
+        for _ in range(rng.randrange(1, 5)):
+            # products of linear forms, some through the point, so that the
+            # point is smooth or singular on each form
+            form = ring.one()
+            for _ in range(rng.randrange(1, 4)):
+                lin = [rational() for _ in range(n)]
+                if rng.random() < 0.6:
+                    k = next(i for i, x in enumerate(point) if x)
+                    lin[k] -= sum(a * x for a, x in zip(lin, point)) / point[k]
+                form = form * sum((x.scale(a) for x, a in zip(ring.gens(), lin)),
+                                  ring.zero(1))
+            if not form.is_zero():
+                polys.append(form)
+        if not polys:
+            continue
+        rank = _gradient_rank_at(ring, polys, point)
+        assert rank == _fraction_jacobian_rank(ring, polys, point)
+        ranks.add(rank)
+    assert {0, 1, 2} <= ranks
 
 
 def test_generation_false_by_piece_comparison_alone():
@@ -358,3 +415,12 @@ def test_uniformity_below_threshold_is_uniform():
         uniformity_experiment(3, 0, num_points=3, seed=0)
     assert exc.value.payload()["details"] == {"m": "0", "minimal_m": "1",
                                               "points": "3"}
+
+
+def test_kernel_generators_reject_non_integer_coordinates(monkeypatch):
+    ring = PolyRing(QQ, 3)
+    exact = Matrix.kernel
+    monkeypatch.setattr(Matrix, "kernel",
+                        lambda self: [[c / 2 for c in v] for v in exact(self)])
+    with pytest.raises(CertificateError, match="non-integer"):
+        stage_kernel_generators(ring, ring.gens(), 1)

@@ -6,15 +6,17 @@ from math import comb
 
 import pytest
 
-from syzkit.errors import (CodimensionError, GeometricPositionError,
-                           InputError, NotSaturatedError, SpecialityError)
+from syzkit.errors import (CertificateError, CodimensionError,
+                           GeometricPositionError, InputError,
+                           NotSaturatedError, SpecialityError)
 from syzkit.fields import GF, QQ
+from syzkit.groebner import Ideal
 from syzkit.linalg import Matrix
 from syzkit.polyring import PolyRing
 from syzkit.schemes import (BUILTIN_NAMES, Polarization, SubschemeData,
                             builtin_subscheme, curve_sections, h0_ideal_twist,
                             h1_ideal_twist, parse_subscheme_file, points_ideal,
-                            restrict_to_curve)
+                            restrict_to_curve, restriction_kernel)
 
 
 def three_points():
@@ -246,3 +248,125 @@ def test_parse_rational_coordinates():
     text = "ambient: 2\nd: 3\npoints:\n1/2 1 0\n"
     z, _ = parse_subscheme_file(text)
     assert z.points == [(Fraction(1, 2), Fraction(1), Fraction(0))]
+
+
+# -- point ideals against an independent oracle -------------------------------
+
+
+def _intersection_oracle(ring, points):
+    """Reduced Groebner basis of the iterated intersection of the point
+    primes, each the 2x2 minors of its coordinate row against the variable
+    row."""
+    xs = ring.gens()
+    n = ring.num_vars
+    meet = None
+    for p in points:
+        cp = [ring.field(c) for c in p]
+        prime = Ideal(ring, [xs[i].scale(cp[j]) - xs[j].scale(cp[i])
+                             for i in range(n) for j in range(i + 1, n)])
+        meet = prime if meet is None else meet.intersect(prime)
+    return meet.gb
+
+
+def _random_reduced_points(rng, n, size, field):
+    """size projectively distinct points of P^(n-1) over the field, with
+    small rational coordinates: zeros and non-integers occur, and a third
+    point on the line through the first two is planted when size >= 3."""
+    pts = []
+    seen = set()
+
+    def add(p):
+        cp = [field(c) for c in p]
+        lead = next((c for c in cp if not field.is_zero(c)), None)
+        if lead is None:
+            return
+        key = tuple(field.div(c, lead) for c in cp)
+        if key not in seen:
+            seen.add(key)
+            pts.append(tuple(p))
+
+    while len(pts) < min(size, 2):
+        add([Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3)))
+             for _ in range(n)])
+    if size >= 3:
+        lam = Fraction(rng.randrange(1, 4), rng.choice((1, 2)))
+        add([a + lam * b for a, b in zip(*pts[:2])])
+    while len(pts) < size:
+        add([Fraction(rng.randrange(-3, 4), rng.choice((1, 2, 3)))
+             for _ in range(n)])
+    return pts
+
+
+@pytest.mark.parametrize("n,field,sizes", [
+    (3, QQ, (1, 2, 3, 4, 6, 7)),
+    (4, QQ, (1, 3, 5, 6)),
+    (3, GF(), (1, 3, 5, 7)),
+    (4, GF(), (1, 4, 6)),
+], ids=["P2-QQ", "P3-QQ", "P2-GF", "P3-GF"])
+def test_points_ideal_matches_intersection_oracle(n, field, sizes):
+    ring = PolyRing(field, n)
+    rng = random.Random(f"points-oracle:{n}:{field!r}")
+    coords = set()
+    for size in sizes:
+        for _ in range(2):
+            pts = _random_reduced_points(rng, n, size, field)
+            coords.update(c for p in pts for c in p)
+            got = [g.to_str() for g in points_ideal(ring, pts).gens]
+            assert got == [g.to_str() for g in _intersection_oracle(ring, pts)]
+    assert 0 in coords and any(c.denominator > 1 for c in coords)
+
+
+def test_points_ideal_matches_oracle_on_structured_sets():
+    ring = PolyRing(QQ, 3)
+    for pts in ([(1, 0, 0), (0, 1, 0), (1, 1, 0)],              # collinear
+                [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0),
+                 (0, 0, 1)],                                      # 4 on a line
+                [(0, 0, 1)],
+                [(Fraction(1, 2), 0, 1), (0, Fraction(-2, 3), 1)]):
+        got = [g.to_str() for g in points_ideal(ring, pts).gens]
+        assert got == [g.to_str() for g in _intersection_oracle(ring, pts)]
+
+
+def test_point_regularity_is_one_past_the_hilbert_function_plateau():
+    cases = []
+    for name in ("three-points", "collinear-points", "one-point"):
+        z, _ = builtin_subscheme(name)
+        cases.append((z.ideal, len(z.points)))
+    rng = random.Random("points-regularity")
+    # the minimal resolution in P^3 takes seconds from 6 points on
+    for n, field, sizes in ((3, QQ, (2, 4, 6, 9)), (3, GF(), (3, 5, 8)),
+                            (4, QQ, (2, 4, 5))):
+        ring = PolyRing(field, n)
+        for size in sizes:
+            pts = _random_reduced_points(rng, n, size, field)
+            cases.append((points_ideal(ring, pts), size))
+    for ideal, npts in cases:
+        plateau = next(t for t in range(npts + 1)
+                       if ideal.quotient_piece_dim(t) == npts)
+        assert ideal.regularity() == 1 + plateau
+
+
+def test_points_ideal_certificate_rejects_a_missing_kernel_vector(monkeypatch):
+    ring = PolyRing(QQ, 3)
+    exact = Matrix.rank_and_kernel
+
+    def drop_last(self):
+        rank, kernel = exact(self)
+        return rank, kernel[:-1]
+
+    monkeypatch.setattr(Matrix, "rank_and_kernel", drop_last)
+    with pytest.raises(CertificateError, match="evaluation rank"):
+        points_ideal(ring, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+def test_subscheme_certifies_point_count():
+    z = three_points()
+    with pytest.raises(CertificateError, match="point count"):
+        SubschemeData(z.ring, z.ideal.gens, points=z.points[:2])
+
+
+def test_restriction_kernel_rejects_dependent_section_basis():
+    ring = PolyRing(QQ, 3)
+    f = ring.parse("x0*x1")
+    with pytest.raises(CertificateError, match="linearly dependent"):
+        restriction_kernel([f, f.scale(Fraction(2))], [ring.parse("x2^2")])
