@@ -19,7 +19,7 @@ from .curves import (CurveBundleInvariants, butler_kernel_invariants,
                      restriction_bookkeeping)
 from .errors import (CertificateError, GenericityError, HypothesisError,
                      InputError, SpecialityError, ThresholdError)
-from .fields import DEFAULT_PRIME, GF, QQ, PrimeField
+from .fields import DEFAULT_PRIME, GF, QQ
 from .groebner import (FreeModule, Ideal, PolyMatrix, Submodule, Vec,
                        syzygies, vecs_from_polys)
 from .linalg import Matrix, Span, primitive_integers
@@ -81,30 +81,12 @@ class GenerationReport:
 def _gradient_rank_at(ring, polys, point):
     """Rank of the Jacobian of the polys at a point where they all vanish.
 
-    Over Q the work is in integers: each poly is scaled to primitive
-    integer coefficients and the point by the lcm of its denominators.
-    Either scaling multiplies a Jacobian row by a nonzero constant, so the
-    rank is unchanged."""
-    field = ring.field
+    The work is in integers: each poly is scaled to primitive integer
+    coefficients and the point by the lcm of its denominators.  Either
+    scaling multiplies a Jacobian row by a nonzero constant, so the rank is
+    unchanged.  Over F_p the elements already are integers with denominator
+    1, the gcd divided out is a unit, and Matrix reduces the entries mod p."""
     n = ring.num_vars
-    if isinstance(field, PrimeField):
-        rows = []
-        for p in polys:
-            row = []
-            for i in range(n):
-                acc = field.zero
-                for e, c in p.coeffs.items():
-                    if e[i] == 0:
-                        continue
-                    val = field.mul(c, field(e[i]))
-                    for j, pj in enumerate(point):
-                        k = e[j] - (1 if j == i else 0)
-                        for _ in range(k):
-                            val = field.mul(val, pj)
-                    acc = field.add(acc, val)
-                row.append(acc)
-            rows.append(row)
-        return Matrix(field, rows).rank()
     den = lcm(*(c.denominator for c in point))
     coords = [int(c * den) for c in point]
     top = max(p.degree for p in polys)
@@ -123,7 +105,7 @@ def _gradient_rank_at(ring, polys, point):
                     acc += val
             row.append(acc)
         rows.append(row)
-    return Matrix(field, rows).rank()
+    return Matrix(ring.field, rows).rank()
 
 
 def check_generation(v_polys, ideal, t_max=None, points=None):
