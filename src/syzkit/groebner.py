@@ -13,7 +13,8 @@ import heapq
 from fractions import Fraction
 from math import comb
 
-from .errors import HomogeneityError, NonMinimalError, RingMismatchError
+from .errors import (BudgetError, HomogeneityError, NonMinimalError,
+                     RingMismatchError)
 from .fields import PrimeField
 from .linalg import Span, fit_hilbert_polynomial, primitive_integers
 from .polyring import GradedPoly, piece_multiples
@@ -548,9 +549,6 @@ class PolyMatrix:
         return any((not p.is_zero()) and p.degree == 0
                    for row in self.entries for p in row)
 
-    def to_strings(self):
-        return [[p.to_str() for p in row] for row in self.entries]
-
 
 class Resolution:
     """Graded free resolution ... -> F_1 -> F_0 -> target; maps[i] presents
@@ -746,7 +744,7 @@ class Ideal:
             if nxt.equals(current):
                 return current
             current = nxt
-        raise AssertionError("saturation failed to stabilize")
+        raise BudgetError("saturation failed to stabilize")
 
     def is_saturated(self):
         return self.quotient(self.ring.gens()).equals(self)

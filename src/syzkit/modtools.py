@@ -246,7 +246,10 @@ def certify_locally_free(presentation, minor_budget=3000, seed=0):
              | ("inconclusive", reason)
     Certification: a nonzero rho-minor plus identical vanishing of all
     (rho+1)-minors pins the generic rank rho of A; the sheaf is locally
-    free iff the rho-minor ideal has empty projective vanishing locus."""
+    free iff the rho-minor ideal has empty projective vanishing locus.
+    Emptiness is read off the initial ideal, with no saturation: for a
+    homogeneous ideal, sat(I) = R exactly when in(I) contains a pure power
+    of every variable."""
     ring = presentation.ring
     a = presentation.relation_matrix()
     if not presentation.relations:
@@ -295,7 +298,7 @@ def certify_locally_free(presentation, minor_budget=3000, seed=0):
         if rho == 0:
             return ("locally-free", rank_m)
         fitting = Ideal(ring, minors)
-        if fitting.saturate().is_unit():
+        if fitting.is_projectively_empty():
             return ("locally-free", rank_m)
         locus_dim = fitting.krull_dim_quotient() - 1
         return ("not-locally-free", locus_dim)

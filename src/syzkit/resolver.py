@@ -20,8 +20,7 @@ from .curves import (CurveBundleInvariants, butler_kernel_invariants,
 from .errors import (CertificateError, GenericityError, HypothesisError,
                      InputError, SpecialityError, ThresholdError)
 from .fields import DEFAULT_PRIME, GF, QQ
-from .groebner import (FreeModule, Ideal, PolyMatrix, Submodule, Vec,
-                       syzygies, vecs_from_polys)
+from .groebner import FreeModule, Ideal, PolyMatrix, Vec
 from .linalg import Matrix, Span, primitive_integers
 from .modtools import GradedModulePresentation, certify_locally_free, hoppe_check
 from .polyring import PolyRing, piece_multiples, span_dim
@@ -152,7 +151,9 @@ def check_generation(v_polys, ideal, t_max=None, points=None):
             first_mismatch = k
     if witness is not None:
         # a fiberwise failure at a reduced point is a proof of non-generation
-        assert certified_at is None, "piece equality contradicts fiber witness"
+        if certified_at is not None:
+            raise CertificateError("piece equality contradicts fiber witness",
+                                   degree=certified_at, point=witness)
         return GenerationReport("false", t_max, first_mismatch=first_mismatch,
                                 fiber_witness=witness, table=table)
     if certified_at is not None:
@@ -223,8 +224,10 @@ def _chern_inverse(cv, rank):
     for k in range(1, n + 1):
         u.append(-sum(c[i] * u[k - i] for i in range(1, k + 1)))
     total = ChowClass(n, u, cv.total.scale)
-    assert total.is_integral(), "Whitney inverse has non-integer classes"
-    assert (total * cv.total) == ChowClass.unit(n, cv.total.scale)
+    if not total.is_integral():
+        raise CertificateError("Whitney inverse has non-integer classes")
+    if total * cv.total != ChowClass.unit(n, cv.total.scale):
+        raise CertificateError("Whitney inverse does not invert the class")
     return ChernVector(rank, total)
 
 
@@ -329,6 +332,11 @@ def stage_kernel_generators(ring, v_basis, scan_cap, p=DEFAULT_PRIME):
     rational piece dimension, and reaching it proves the chosen
     generators span over Q as well (checked per degree, CertificateError
     otherwise).
+    The scan covers t = 0..scan_cap.  The kernel is the first syzygy
+    module of V, so its generators lie in degrees t <= reg J + 1 - md for
+    the ideal J = (V); any scan_cap at or above that bound returns a
+    complete, minimal generating set (_build_kernel_stage proves the bound
+    it passes).
     Returns (ambient, gens, piece_dims) with piece_dims[t] = dim (K)_t
     for t = 0..scan_cap.
     """
@@ -376,33 +384,9 @@ def _integer_coords(w, index, t):
     return [c.numerator for c in coords]
 
 
-def _kernel_module_data(ring, v_basis, reg, image_dims):
-    """Syzygies of the section space, re-embedded in unshifted R^dimV, with
-    the rank-nullity cross-check on every piece up to reg + 2."""
-    dim_v = len(v_basis)
-    n = ring.num_vars - 1
-    _, vecs = vecs_from_polys(ring, v_basis)
-    syz = syzygies(vecs)
-    ambient = FreeModule(ring, (0,) * dim_v)
-    gens = [Vec(ambient, dict(s.terms)) for s in syz]
-    sub = Submodule(ambient, gens)
-    for t in range(0, reg + 3):
-        expected = dim_v * comb(t + n, n) - image_dims(t)
-        assert sub.piece_dim(t) == expected, \
-            "kernel piece dimension disagrees with rank-nullity"
-    pres = GradedModulePresentation.of_submodule(ambient, gens)
-    if pres.embedding:
-        gmat = PolyMatrix.from_columns(ambient, pres.embedding)
-        smat = pres.relation_matrix()
-        if pres.relations:
-            assert gmat.compose(smat).is_zero(), \
-                "generators times syzygies is not zero"
-    return ambient, gens, pres
-
-
 def _build_kernel_stage(z, pol, m=None, policy="auto", seed=0, mode="numeric",
                         p=None, retry_budget=RETRY_BUDGET, t_max=None,
-                        index=0, presentation_budget=PRESENTATION_BUDGET):
+                        index=0):
     """Shared stage-0 construction on P^2 or P^3."""
     if mode not in ("numeric", "module"):
         raise InputError("mode must be numeric or module", mode=mode)
@@ -523,49 +507,55 @@ def _build_kernel_stage(z, pol, m=None, policy="auto", seed=0, mode="numeric",
         flags["butler_applicable"] = False
 
     if mode == "module":
-        # the generation table holds dim span(V * R_t) for degrees m*d + t up
+        # Scan cap: V is a basis of one graded piece, so it minimally
+        # generates J = (V).  J_k = (I_Z)_k for k >= k0 (the certified
+        # degree), so I_Z/J has finite length and vanishes from k0 on, and
+        # reg J <= max(reg I_Z, k0).  The kernel is the first syzygy module
+        # of V, generated in degrees md + t <= reg J + 1.
+        md = m * d
+        cap = max(reg, gen_report.certified_at) + 1 - md
+        ambient, gens, dims = stage_kernel_generators(ring, v_basis, cap)
+        # the generation table holds dim span(V * R_t) for degrees md + t up
         # to the certified degree; beyond it the span is the full ideal piece
         table = gen_report.table
-
-        def image_dims(t):
-            if t < len(table):
-                return table[t][1]
-            return z.ideal.piece_dim(m * d + t)
-
-        if dim_v <= presentation_budget:
-            ambient, gens, pres = _kernel_module_data(ring, v_basis, reg,
-                                                      image_dims)
-            stage.ambient = ambient
-            stage.kernel_gens = gens
+        for t, got in enumerate(dims):
+            image = (table[t][1] if t < len(table)
+                     else z.ideal.piece_dim(md + t))
+            expected = dim_v * comb(t + n, n) - image
+            if got != expected:
+                raise CertificateError(
+                    "kernel piece dimension disagrees with rank-nullity",
+                    degree=t, kernel=got, expected=expected)
+        stage.ambient = ambient
+        stage.kernel_gens = gens
+        if dim_v <= PRESENTATION_BUDGET:
+            pres = GradedModulePresentation.of_submodule(ambient, gens)
+            if pres.relations:
+                gmat = PolyMatrix.from_columns(ambient, pres.embedding)
+                if not gmat.compose(pres.relation_matrix()).is_zero():
+                    raise CertificateError(
+                        "generators times syzygies is not zero")
             stage.presentation = pres
             verdict = certify_locally_free(pres)
             flags["locally_free"] = verdict[0]
             flags["locally_free_detail"] = str(verdict[1])
-            if verdict[0] == "locally-free":
-                assert verdict[1] == rank
+            if verdict[0] == "locally-free" and verdict[1] != rank:
+                raise CertificateError(
+                    "Fitting rank disagrees with the stage rank",
+                    fitting_rank=verdict[1], rank=rank)
         else:
             # syzygy presentations of this many generators exceed desk
-            # scale; compute the kernel generators degreewise instead and
-            # report the local-freeness certificate as out of budget
-            cap = reg + 2
-            ambient, gens, dims = stage_kernel_generators(ring, v_basis, cap)
-            nvars = ring.num_vars
-            for t, got in enumerate(dims):
-                expected = dim_v * comb(t + nvars - 1, nvars - 1) - image_dims(t)
-                assert got == expected, \
-                    "kernel piece dimension disagrees with rank-nullity"
-            stage.ambient = ambient
-            stage.kernel_gens = gens
+            # scale; report the local-freeness certificate as out of budget
             flags["locally_free"] = "inconclusive"
             flags["locally_free_detail"] = (
-                f"presentation budget {presentation_budget} exceeded; "
+                f"presentation budget {PRESENTATION_BUDGET} exceeded; "
                 f"kernel generators computed degreewise")
     return stage
 
 
 def build_surface_kernel(z, pol, m=None, policy="auto", seed=0,
                          mode="numeric", p=None, retry_budget=RETRY_BUDGET,
-                         t_max=None, presentation_budget=PRESENTATION_BUDGET):
+                         t_max=None):
     """The evaluation-kernel bundle of a generic section space on P^2.
 
     Auto twist selection takes the minimal m with m*d >= reg+1 and
@@ -577,8 +567,7 @@ def build_surface_kernel(z, pol, m=None, policy="auto", seed=0,
         raise InputError("surface stage requires P^2", n=z.n)
     return _build_kernel_stage(z, pol, m=m, policy=policy, seed=seed,
                                mode=mode, p=p, retry_budget=retry_budget,
-                               t_max=t_max, index=0,
-                               presentation_budget=presentation_budget)
+                               t_max=t_max, index=0)
 
 
 def hoppe_stage(stage, **budgets):
@@ -684,7 +673,8 @@ def build_chain(z, pol, mode="numeric", seed=0, p=None, m_list=None,
         flags = {"locally_free": stage0.flags.get(
             "locally_free", "assumed-cohomological-dimension")}
         chain = ResolutionChain(z, pol, [stage0], terminal, flags, mode, seed)
-        assert chain.residual().is_zero(), "character identity failed"
+        if not chain.residual().is_zero():
+            raise CertificateError("character identity failed")
         return chain
 
     # P^3: one more kernel stage on top of K_0
@@ -778,7 +768,8 @@ def build_chain(z, pol, mode="numeric", seed=0, p=None, m_list=None,
              "untwist": -m_total}
     chain = ResolutionChain(z, pol, [stage0, stage1], terminal, flags, mode,
                             seed)
-    assert chain.residual().is_zero(), "character identity failed"
+    if not chain.residual().is_zero():
+        raise CertificateError("character identity failed")
     return chain
 
 

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from syzkit.errors import NonMinimalError
+from syzkit.errors import BudgetError, NonMinimalError
 from syzkit.fields import QQ
 from syzkit.groebner import (FreeModule, Ideal, PolyMatrix, Submodule, Vec,
                              buchberger, minimal_free_resolution,
@@ -195,6 +195,15 @@ def test_saturation_of_irrelevant_ideal_is_unit():
     sat = irr.saturate()
     assert sat.is_unit()
     assert irr.is_projectively_empty()
+
+
+def test_saturation_that_never_stabilizes_raises_budget_error(monkeypatch):
+    ring = ring3()
+    ideal = Ideal(ring, [ring.parse("x0^2")])
+    monkeypatch.setattr(Ideal, "quotient", lambda self, polys: self)
+    monkeypatch.setattr(Ideal, "equals", lambda self, other: False)
+    with pytest.raises(BudgetError, match="stabilize"):
+        ideal.saturate()
 
 
 def test_saturation_idempotent_and_extensive_20_monomial_ideals():

@@ -1,6 +1,8 @@
 """Module presentations: torsion, local freeness, stability, filtrations."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -100,6 +102,43 @@ def test_certify_ideal_of_points_not_locally_free():
     verdict, locus_dim = certify_locally_free(m)
     assert verdict == "not-locally-free"
     assert locus_dim == 0  # the minors cut out exactly the three points
+
+
+def _random_form(rng, ring):
+    """A form of degree 1-3 with 1-3 terms and nonzero small coefficients."""
+    deg = rng.randrange(1, 4)
+    mons = ring.monomials_of_degree(deg)
+    f = ring.zero(deg)
+    for m in rng.sample(mons, rng.randrange(1, 4)):
+        f = f + ring.monomial(m, QQ(rng.choice((-3, -2, -1, 1, 2, 3))))
+    return f
+
+
+def test_projective_emptiness_matches_saturation_oracle():
+    ring = ring3()
+    rng = random.Random("emptiness")
+    ideals = [Ideal(ring, [_random_form(rng, ring)
+                           for _ in range(rng.randrange(1, 5))])
+              for _ in range(40)]
+    # the 2x2 minors of the three-point ideal's presentation cut out the
+    # three points (locus dimension 0)
+    free, vecs = vecs_from_polys(ring, [ring.parse("x0*x1"),
+                                        ring.parse("x0*x2"),
+                                        ring.parse("x1*x2")])
+    a = GradedModulePresentation.of_submodule(free, vecs).relation_matrix()
+    minors = [poly_det([[a.entries[i][j] for j in cols] for i in rows])
+              for rows in combinations(range(a.nrows), 2)
+              for cols in combinations(range(a.ncols), 2)]
+    points = Ideal(ring, minors)
+    assert points.krull_dim_quotient() - 1 == 0
+    ideals.append(points)
+    seen = set()
+    for ideal in ideals:
+        empty = ideal.is_projectively_empty()
+        assert empty == ideal.saturate().is_unit()
+        seen.add(empty)
+    assert seen == {True, False}
+    assert not points.is_projectively_empty()
 
 
 def test_certify_koszul_kernel_locally_free():

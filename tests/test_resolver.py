@@ -1,21 +1,25 @@
 """Kernel stages, the chain on P^3, and the seeded experiments."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+import syzkit.resolver as resolver
+from syzkit.chow import ChernVector, ChowClass
 from syzkit.errors import (CertificateError, GenericityError, InputError,
                            ThresholdError)
-from syzkit.polyring import PolyRing
 from syzkit.fields import GF, QQ
-from syzkit.groebner import Ideal
+from syzkit.groebner import (FreeModule, Ideal, Submodule, Vec, syzygies,
+                             vecs_from_polys)
 from syzkit.linalg import Matrix
-from syzkit.resolver import (_gradient_rank_at, build_chain, build_surface_kernel,
-                             chain_character_residual, check_generation,
-                             genericity_experiment, hoppe_stage,
-                             ideal_piece_basis, stage_kernel_generators,
-                             uniformity_experiment)
+from syzkit.polyring import PolyRing
+from syzkit.resolver import (_chern_inverse, _gradient_rank_at, build_chain,
+                             build_surface_kernel, chain_character_residual,
+                             check_generation, genericity_experiment,
+                             hoppe_stage, ideal_piece_basis,
+                             stage_kernel_generators, uniformity_experiment)
 from syzkit.schemes import Polarization, builtin_subscheme
 
 
@@ -385,6 +389,98 @@ def test_module_mode_three_points_budgeted():
     assert len(degrees) == 24
     assert sorted(set(degrees)) == [1, 2]
     assert stage.presentation is None
+
+
+MODULE_CASES = [("one-point", 1, 1), ("empty", 1, 1), ("empty", 1, 2),
+                ("three-points", 1, 3), ("collinear-points", 1, 3),
+                ("empty", 2, None)]
+
+
+@pytest.mark.parametrize("name,d,m", MODULE_CASES,
+                         ids=[f"{n}-d{d}-m{m}" for n, d, m in MODULE_CASES])
+def test_kernel_generators_match_groebner_syzygies(name, d, m):
+    z, _ = builtin_subscheme(name)
+    stage = build_surface_kernel(z, Polarization(2, d), m=m, mode="module")
+    ring = z.ring
+    # oracle: the Groebner syzygies of V, re-embedded in unshifted R^dimV
+    _, vecs = vecs_from_polys(ring, stage.v_basis)
+    ambient = FreeModule(ring, (0,) * stage.dim_v)
+    oracle = [Vec(ambient, dict(s.terms)) for s in syzygies(vecs)]
+    assert Submodule(ambient, stage.kernel_gens).equals(
+        Submodule(ambient, oracle))
+    # the proven degree cap: scanning two degrees past it finds nothing new
+    md = stage.m * d
+    cap = max(z.regularity(), stage.flags["generation_certified_at"]) + 1 - md
+    _, at_cap, _ = stage_kernel_generators(ring, stage.v_basis, cap)
+    _, past_cap, _ = stage_kernel_generators(ring, stage.v_basis, cap + 2)
+    assert len(past_cap) <= len(at_cap) == len(stage.kernel_gens)
+    assert stage.flags["locally_free"] == "locally-free"
+    assert stage.flags["locally_free_detail"] == str(stage.rank)
+
+
+@pytest.mark.parametrize("name,c0", [("line-p3", (1, -4, 15, -54)),
+                                     ("twisted-cubic", (1, -4, 13, -38))])
+def test_module_mode_p3_chains_within_budget(name, c0):
+    z, _ = builtin_subscheme(name)
+    t0 = time.time()
+    chain = build_chain(z, Polarization(3, 2), mode="module")
+    dt = time.time() - t0
+    rep = chain.report()
+    assert rep["stages"][0]["chern"] == c0
+    assert rep["residual"] == ["0", "0", "0", "0"]
+    stage0 = chain.stages[0]
+    assert stage0.flags["locally_free"] == "inconclusive"
+    assert "presentation budget 12 exceeded" in stage0.flags[
+        "locally_free_detail"]
+    assert stage0.kernel_gens
+    assert dt < 30, f"{name}: {dt:.2f}s exceeded the 30s P^3 budget"
+
+
+def test_module_mode_rejects_kernel_pieces_off_rank_nullity(monkeypatch):
+    z, _ = builtin_subscheme("empty")
+    exact = stage_kernel_generators
+
+    def inflated(*args):
+        ambient, gens, dims = exact(*args)
+        return ambient, gens, dims[:-1] + [dims[-1] + 1]
+
+    monkeypatch.setattr(resolver, "stage_kernel_generators", inflated)
+    with pytest.raises(CertificateError, match="rank-nullity"):
+        build_surface_kernel(z, Polarization(2, 1), m=1, mode="module")
+
+
+def test_module_mode_rejects_a_fitting_rank_off_the_stage_rank(monkeypatch):
+    z, _ = builtin_subscheme("empty")
+    monkeypatch.setattr(resolver, "certify_locally_free",
+                        lambda pres: ("locally-free", 5))
+    with pytest.raises(CertificateError, match="Fitting rank"):
+        build_surface_kernel(z, Polarization(2, 1), m=1, mode="module")
+
+
+def test_chain_rejects_a_nonzero_character_residual(monkeypatch):
+    z, pol = three_points()
+    bad = chain_character_residual(
+        2, 3, z.hilbert_polynomial(), [(2, 19)],
+        build_chain(z, pol).terminal_chern)
+    assert not bad.is_zero()
+    monkeypatch.setattr(resolver, "chain_character_residual",
+                        lambda *args: bad)
+    with pytest.raises(CertificateError, match="character identity"):
+        build_chain(z, pol)
+
+
+def test_whitney_inverse_rejects_a_non_integral_class():
+    half = ChernVector(1, ChowClass(2, [1, Fraction(1, 2)]))
+    with pytest.raises(CertificateError, match="non-integer"):
+        _chern_inverse(half, 1)
+
+
+def test_fiber_witness_contradicting_piece_equality_is_rejected(monkeypatch):
+    z, _ = three_points()
+    v = [z.ring.parse(s) for s in ("x0*x1", "x0*x2", "x1*x2")]
+    monkeypatch.setattr(resolver, "_gradient_rank_at", lambda *args: 0)
+    with pytest.raises(CertificateError, match="fiber witness"):
+        check_generation(v, z.ideal, points=z.points)
 
 
 def test_hoppe_stage_needs_module_mode():
