@@ -13,8 +13,8 @@ import heapq
 from fractions import Fraction
 from math import comb
 
-from .errors import (BudgetError, HomogeneityError, NonMinimalError,
-                     RingMismatchError)
+from .errors import (BudgetError, CertificateError, HomogeneityError,
+                     NonMinimalError, RingMismatchError)
 from .fields import PrimeField
 from .linalg import Span, fit_hilbert_polynomial, primitive_integers
 from .polyring import GradedPoly, piece_multiples
@@ -110,10 +110,10 @@ class Vec:
 
     def mul_monomial(self, exps, coeff=None):
         f = self.free.ring.field
-        c = f.one if coeff is None else coeff
         out = {}
         for (comp, e), v in self.terms.items():
-            out[(comp, tuple(a + b for a, b in zip(e, exps)))] = f.mul(c, v)
+            out[(comp, tuple(a + b for a, b in zip(e, exps)))] = \
+                v if coeff is None else f.mul(coeff, v)
         deg = None if self._degree is None else self._degree + sum(exps)
         return Vec(self.free, out, deg)
 
@@ -414,6 +414,7 @@ class Submodule:
         self.free = free
         self.gens = [g for g in gens if not g.is_zero()]
         self._gb = None
+        self._leads = None
 
     @property
     def gb(self):
@@ -422,7 +423,9 @@ class Submodule:
         return self._gb
 
     def gb_leads(self):
-        return [(g.lead()[0], g.lead()[1]) for g in self.gb]
+        if self._leads is None:
+            self._leads = [g.lead()[:2] for g in self.gb]
+        return self._leads
 
     def contains(self, vec):
         return normal_form(vec, self.gb).is_zero()
@@ -639,15 +642,18 @@ class Ideal:
                 raise RingMismatchError("generator from a different ring")
         self._free, self._vecs = vecs_from_polys(ring, self.gens)
         self._sub = Submodule(self._free, self._vecs)
+        self._gb = None
         self._resolution = None
 
     @property
     def gb(self):
         """Reduced Groebner basis as polynomials (monic, sorted)."""
-        return [v.component(0) for v in self._sub.gb]
+        if self._gb is None:
+            self._gb = [v.component(0) for v in self._sub.gb]
+        return self._gb
 
     def gb_leads(self):
-        return [g.leading()[0] for g in self.gb]
+        return [exps for _, exps in self._sub.gb_leads()]
 
     def contains(self, poly):
         if poly.is_zero():
@@ -661,6 +667,14 @@ class Ideal:
 
     def equals(self, other):
         return self.ring == other.ring and self._sub.equals(other._sub)
+
+    def reduced(self):
+        """The same ideal generated by its reduced Groebner basis, which the
+        result shares instead of recomputing."""
+        out = Ideal(self.ring, self.gb)
+        out._gb = self.gb
+        out._sub._gb = self._sub.gb
+        return out
 
     def is_unit(self):
         gb = self.gb
@@ -771,16 +785,24 @@ class Ideal:
                 out.append(acc)
         return Ideal(ring, out)
 
-    def hilbert_polynomial(self):
+    def hilbert_polynomial(self, reg=None):
         """Integer vector (a_0..a_n): HP_{R/I}(k) = sum a_j * C(k+j, j),
-        valid for k beyond the regularity.  Verified on extra points."""
+        valid for k beyond the regularity.  It is fitted past reg, a known
+        regularity (the minimal resolution's by default), and verified on
+        extra points (CertificateError if the staircase fits no such
+        polynomial there)."""
         n = self.ring.num_vars - 1
         if self.is_zero():
             return tuple(1 if j == n else 0 for j in range(n + 1))
-        k0 = max(self.regularity(), 0) + 1
+        if reg is None:
+            reg = self.regularity()
+        k0 = max(reg, 0) + 1
         coeffs = fit_hilbert_polynomial(n, range(k0, k0 + n + 3),
                                         self.quotient_piece_dim)
-        assert coeffs is not None
+        if coeffs is None:
+            raise CertificateError(
+                "Hilbert function is not polynomial past the regularity",
+                regularity=reg)
         return coeffs
 
     def hp_value(self, k):

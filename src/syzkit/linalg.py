@@ -1,6 +1,6 @@
 """Dense exact matrices with rank, kernel, solving and seeded random sampling,
-the incremental row echelon, primitive integer scaling and the fit of a
-binomial-basis Hilbert polynomial.
+the incremental row echelon, the certified rank over Q, primitive integer
+scaling and the fit of a binomial-basis Hilbert polynomial.
 
 Over Q the forward elimination is fraction-free (Bareiss): rows are scaled
 to integers once and every intermediate entry stays an integer (a minor of
@@ -8,8 +8,14 @@ the scaled matrix), so no rational blow-up occurs mid-elimination.  The
 kernel stays fraction-free too: back-substitution on the Bareiss echelon
 keeps an integer vector and rescales it only by what the next pivot
 division needs, and each kernel vector is verified exactly against every
-scaled integer row.  Over F_p elimination is plain row reduction mod p,
-to the reduced echelon form, and kernel vectors are read off it.
+scaled integer row.  Over F_p a kernel or a solution comes from the
+reduced echelon form mod p; a rank is forward-only, the row count of a
+Span, with no clearing above the pivots.
+
+rank_at_least is the certified rank over Q for a rank with a proven upper
+bound: rank mod p <= rank over Q <= bound, so a forward-only rank mod
+CERT_PRIME that reaches the bound proves the rank, and Bareiss runs only
+when it falls short.
 """
 
 import random
@@ -18,6 +24,10 @@ from math import comb, gcd, lcm
 
 from .errors import CertificateError, UnsupportedFieldError
 from .fields import GF, QQ, PrimeField, check_same_field
+
+# the prime of rank_at_least: 2^31 - 1, large enough that a rank drop mod p
+# on the integer rows syzkit ranks is rare
+CERT_PRIME = 2 ** 31 - 1
 
 
 class Matrix:
@@ -72,6 +82,8 @@ class Matrix:
     # -- elimination -------------------------------------------------------
 
     def rank(self):
+        if isinstance(self.field, PrimeField):
+            return _span_rank(self.field, self.rows, min(self.nrows, self.ncols))
         return self._echelon()[0]
 
     def rank_and_kernel(self):
@@ -129,7 +141,7 @@ class Matrix:
             ints = [[int(c) % p for c in r] for r in self.rows]
             return (*self._echelon_fp(list(ints)), ints)
         ints = [primitive_integers(r) for r in self.rows]
-        return (*self._echelon_qq(list(ints)), ints)
+        return (*_bareiss(list(ints), self.ncols), ints)
 
     def _echelon_fp(self, rows):
         p = self.field.p
@@ -152,33 +164,38 @@ class Matrix:
                 break
         return r, pivots, rows
 
-    def _echelon_qq(self, rows):
-        pivots = []
-        prev = 1
-        r = 0
-        for c in range(self.ncols):
-            piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            pc = rows[r][c]
-            for i in range(r + 1, len(rows)):
-                ic = rows[i][c]
-                row_i, row_r = rows[i], rows[r]
-                new = []
-                for j in range(self.ncols):
-                    num = pc * row_i[j] - ic * row_r[j]
-                    q, rem = divmod(num, prev)
-                    assert rem == 0  # Bareiss exact-division invariant
-                    new.append(q)
-                new[c] = 0
-                rows[i] = new
-            prev = pc
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return r, pivots, rows[:r]
+
+def _bareiss(rows, ncols):
+    """(rank, pivots, echelon rows) of integer rows by fraction-free forward
+    elimination; every division by the previous pivot must be exact
+    (CertificateError otherwise)."""
+    pivots = []
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        pc = rows[r][c]
+        for i in range(r + 1, len(rows)):
+            ic = rows[i][c]
+            row_i, row_r = rows[i], rows[r]
+            # rows from r on are zero left of c, and column c cancels
+            new = [0] * (c + 1)
+            for j in range(c + 1, ncols):
+                q, rem = divmod(pc * row_i[j] - ic * row_r[j], prev)
+                if rem:
+                    raise CertificateError("Bareiss division is not exact",
+                                           column=c, row=i)
+                new.append(q)
+            rows[i] = new
+        prev = pc
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return r, pivots, rows[:r]
 
 
 def _kernel_from_rref(pivots, rows, ncols, p):
@@ -248,7 +265,7 @@ def primitive_integers(vec):
     """Coprime integers proportional to a rational vector.  The sign is left
     alone and the zero vector maps to zeros."""
     den = lcm(*(c.denominator for c in vec))
-    ints = [int(c * den) for c in vec]
+    ints = [c.numerator * (den // c.denominator) for c in vec]
     g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
@@ -257,45 +274,80 @@ def primitive_integers(vec):
 
 class Span:
     """Incremental row echelon over a field: the span of the rows added so
-    far, kept as pivot-normalized rows."""
+    far.  A stored row is zero left of its pivot and at the pivots of the
+    rows stored before it, so a new row reduces in one pass over the stored
+    rows, each update running from the pivot column on.  Over F_p rows are
+    residues scaled to pivot 1; over Q they are primitive integer rows, and
+    a reduction cross-multiplies by the two pivot entries over their gcd and
+    strips the content, so the rows selected are those Fraction arithmetic
+    would select."""
 
     def __init__(self, field):
-        self.field = field
+        self.p = field.p if isinstance(field, PrimeField) else None
         self.rows = []
         self.pivots = []
 
     def add(self, vec):
         """Reduce vec against the span and insert it; True when the span grew."""
-        f = self.field
-        if isinstance(f, PrimeField):
-            return self._add_mod(vec, f.p)
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if not f.is_zero(v[p]):
-                c = v[p]
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        p = next((i for i, c in enumerate(v) if not f.is_zero(c)), None)
-        if p is None:
+        p = self.p
+        v = primitive_integers(vec) if p is None else [c % p for c in vec]
+        lo = next((i for i, c in enumerate(v) if c), None)  # v is 0 left of lo
+        if lo is None:
             return False
-        inv = f.inv(v[p])
-        self.rows.append([f.mul(inv, c) for c in v])
-        self.pivots.append(p)
-        return True
-
-    def _add_mod(self, vec, p):
-        # add() over F_p on raw residues, without per-element field calls
-        v = [c % p for c in vec]
         for row, piv in zip(self.rows, self.pivots):
             c = v[piv]
-            if c:
-                v = [(a - c * b) % p for a, b in zip(v, row)]
-        piv = next((i for i, c in enumerate(v) if c), None)
+            if not c:
+                continue
+            if p is not None:
+                v[piv:] = [(a - c * b) % p for a, b in zip(v[piv:], row[piv:])]
+            else:
+                a = row[piv]
+                g = gcd(a, c)
+                a, c = a // g, c // g
+                if a != 1:
+                    v[lo:piv] = [a * x for x in v[lo:piv]]
+                v[piv:] = [a * x - c * y for x, y in zip(v[piv:], row[piv:])]
+                g = gcd(*v[lo:])
+                if g > 1:
+                    v[lo:] = [x // g for x in v[lo:]]
+            if lo == piv:
+                lo += 1
+        piv = next((i for i in range(lo, len(v)) if v[i]), None)
         if piv is None:
             return False
-        inv = pow(v[piv], p - 2, p)
-        self.rows.append([inv * c % p for c in v])
+        if p is not None:
+            inv = pow(v[piv], p - 2, p)
+            v = [inv * c % p for c in v]
+        self.rows.append(v)
         self.pivots.append(piv)
         return True
+
+
+def _span_rank(field, rows, cap):
+    """Forward-only rank of rows: the rows a Span accepts, counted until
+    the count reaches cap, a proven upper bound on the rank."""
+    span = Span(field)
+    rank = 0
+    for row in rows:
+        if rank >= cap:
+            break
+        rank += span.add(row)
+    return rank
+
+
+def rank_at_least(field, rows, bound):
+    """The exact rank of rows over the field, given a proven upper bound.
+
+    Over Q each row is scaled to primitive integers and ranked forward-only
+    mod CERT_PRIME.  rank mod p <= rank over Q <= bound, so reaching the
+    bound proves the rank; otherwise the Bareiss rank over Q is returned.
+    Over F_p the rank is the forward-only one, stopped at the bound."""
+    if isinstance(field, PrimeField):
+        return _span_rank(field, rows, bound)
+    ints = [primitive_integers(r) for r in rows]
+    if _span_rank(GF(CERT_PRIME), ints, bound) == bound:
+        return bound
+    return Matrix(field, rows).rank()
 
 
 def fit_hilbert_polynomial(n, points, value):

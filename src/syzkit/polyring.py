@@ -9,7 +9,8 @@ input is rejected at construction.
 from math import comb
 
 from .errors import HomogeneityError, ParseError, RingMismatchError
-from .linalg import Matrix
+from .fields import PrimeField
+from .linalg import Matrix, primitive_integers
 
 
 def grevlex_key(exps):
@@ -185,8 +186,8 @@ class GradedPoly:
 
     def mul_monomial(self, exps, coeff=None):
         f = self.ring.field
-        c = f.one if coeff is None else coeff
-        out = {tuple(a + b for a, b in zip(e, exps)): f.mul(c, v)
+        out = {tuple(a + b for a, b in zip(e, exps)):
+               v if coeff is None else f.mul(coeff, v)
                for e, v in self.coeffs.items()}
         deg = None if self._degree is None else self._degree + sum(exps)
         return GradedPoly(self.ring, out, deg)
@@ -272,6 +273,40 @@ def span_dim(ring, polys, d):
     if not rows:
         return 0
     return Matrix(ring.field, rows).rank()
+
+
+def integer_powers(point, top):
+    """Powers x^0..x^top of each coordinate of the point scaled to primitive
+    integers.  The scaling is a projective rescaling: a form vanishes at the
+    scaled point exactly when it vanishes at the point, and a row of its
+    Jacobian there only changes by a nonzero constant."""
+    return [[x ** k for k in range(top + 1)] for x in primitive_integers(point)]
+
+
+def vanish_at(polys, points):
+    """True when every form vanishes at every point.  The work is in
+    integers: each form is scaled to primitive integer coefficients and
+    each point by integer_powers, and over F_p the integer value is taken
+    mod p."""
+    polys = [f for f in polys if not f.is_zero()]
+    if not polys:
+        return True
+    field = polys[0].ring.field
+    p = field.p if isinstance(field, PrimeField) else None
+    forms = [list(zip(f.coeffs, primitive_integers(list(f.coeffs.values()))))
+             for f in polys]
+    top = max(f.degree for f in polys)
+    for point in points:
+        powers = integer_powers(point, top)
+        for terms in forms:
+            val = 0
+            for e, c in terms:
+                for pw, k in zip(powers, e):
+                    c *= pw[k]
+                val += c
+            if val if p is None else val % p:
+                return False
+    return True
 
 
 # -- parser ---------------------------------------------------------------

@@ -21,12 +21,13 @@ from .errors import (CertificateError, GenericityError, HypothesisError,
                      InputError, SpecialityError, ThresholdError)
 from .fields import DEFAULT_PRIME, GF, QQ
 from .groebner import FreeModule, Ideal, PolyMatrix, Vec
-from .linalg import Matrix, Span, primitive_integers
+from .linalg import Matrix, Span, primitive_integers, rank_at_least
 from .modtools import GradedModulePresentation, certify_locally_free, hoppe_check
-from .polyring import PolyRing, piece_multiples, span_dim
+from .polyring import (PolyRing, integer_powers, piece_multiples,
+                       vanish_at)
 from .schemes import (Polarization, SubschemeData, curve_sections,
-                      h0_ideal_twist, h1_ideal_twist, points_ideal,
-                      restrict_to_curve, restriction_kernel)
+                      h0_ideal_twist, h1_ideal_twist, restrict_to_curve,
+                      restriction_kernel)
 
 RETRY_BUDGET = 8
 TWIST_CAP_FACTOR = 10
@@ -81,15 +82,12 @@ def _gradient_rank_at(ring, polys, point):
     """Rank of the Jacobian of the polys at a point where they all vanish.
 
     The work is in integers: each poly is scaled to primitive integer
-    coefficients and the point by the lcm of its denominators.  Either
-    scaling multiplies a Jacobian row by a nonzero constant, so the rank is
+    coefficients and the point by integer_powers.  Either scaling
+    multiplies a Jacobian row by a nonzero constant, so the rank is
     unchanged.  Over F_p the elements already are integers with denominator
     1, the gcd divided out is a unit, and Matrix reduces the entries mod p."""
     n = ring.num_vars
-    den = lcm(*(c.denominator for c in point))
-    coords = [int(c * den) for c in point]
-    top = max(p.degree for p in polys)
-    powers = [[x ** k for k in range(top)] for x in coords]
+    powers = integer_powers(point, max(p.degree for p in polys) - 1)
     rows = []
     for p in polys:
         terms = list(zip(p.coeffs, primitive_integers(list(p.coeffs.values()))))
@@ -107,15 +105,21 @@ def _gradient_rank_at(ring, polys, point):
     return Matrix(ring.field, rows).rank()
 
 
-def check_generation(v_polys, ideal, t_max=None, points=None):
+def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
     """Does V generate the twisted ideal sheaf?
 
     Compares dim span(V * R_(k-m)) with dim (I)_k for k = m..t_max and
     certifies generation at the first equality degree k0 >= reg(I); the
     equality then propagates upward because R_1 * (I)_k = (I)_(k+1) for
-    k >= reg.  For reduced points a fiberwise Jacobian-spanning screen at
-    each point supplies definitive failure witnesses.  "uncertified" means
-    the scan window was capped below the certification threshold.
+    k >= reg.  reg is the known regularity of the ideal (by default that of
+    its minimal resolution).  Each span dimension is a rank_at_least against
+    min(#multiples, dim (I)_k), so Bareiss over Q runs only when the mod-p
+    rank misses that bound.
+    points, when given, are the reduced points the ideal vanishes on
+    exactly: membership of V is then checked by evaluation, and a fiberwise
+    Jacobian-spanning screen at each point supplies definitive failure
+    witnesses.  "uncertified" means the scan window was capped below the
+    certification threshold.
     """
     if not v_polys:
         raise InputError("empty section space")
@@ -124,9 +128,11 @@ def check_generation(v_polys, ideal, t_max=None, points=None):
     for v in v_polys:
         if v.degree != md:
             raise InputError("section space must be equigraded")
-        if not ideal.contains(v):
-            raise InputError("section does not lie in the target ideal")
-    reg = ideal.regularity()
+    if not (vanish_at(v_polys, points) if points
+            else all(ideal.contains(v) for v in v_polys)):
+        raise InputError("section does not lie in the target ideal")
+    if reg is None:
+        reg = ideal.regularity()
     threshold = max(reg + 1, md)
     if t_max is None:
         t_max = threshold + 2
@@ -141,8 +147,9 @@ def check_generation(v_polys, ideal, t_max=None, points=None):
     certified_at = None
     first_mismatch = None
     for k in range(md, t_max + 1):
-        got = span_dim(ring, piece_multiples(ring, v_polys, k), k)
+        rows = [ring.to_vector(p, k) for p in piece_multiples(ring, v_polys, k)]
         want = ideal.piece_dim(k)
+        got = rank_at_least(ring.field, rows, min(len(rows), want))
         table.append((k, got, want))
         if got == want and k >= reg:
             certified_at = k
@@ -238,17 +245,25 @@ def _ideal_sheaf_chern(z, d):
 
 
 def _draw_sections(rng, basis, dim_v, field, p):
-    """dim_v seeded combinations of the basis with integer lifts from [0,p)."""
+    """dim_v seeded combinations of the basis with integer lifts from [0,p).
+    The sums run in integers, over one common denominator of the basis."""
     h0 = len(basis)
     coeffs = [[rng.randrange(p) for _ in range(h0)] for _ in range(dim_v)]
     if Matrix(GF(p), [[GF(p)(a) for a in row] for row in coeffs]).rank() < dim_v:
         return None
+    den = lcm(*(c.denominator for b in basis for c in b.coeffs.values()))
+    nums = [{e: c.numerator * (den // c.denominator) for e, c in b.coeffs.items()}
+            for b in basis]
+    ring, md = basis[0].ring, basis[0].degree
     out = []
     for row in coeffs:
-        acc = basis[0].scale(field(row[0]))
-        for c, b in zip(row[1:], basis[1:]):
-            acc = acc + b.scale(field(c))
-        out.append(acc)
+        acc = {}
+        for a, num in zip(row, nums):
+            if a:
+                for e, c in num.items():
+                    acc[e] = acc.get(e, 0) + a * c
+        out.append(ring.from_terms({e: field(c, den) for e, c in acc.items()},
+                                   degree=md))
     return out
 
 
@@ -265,11 +280,12 @@ def _draw_curve_forms(rng, z, d, count, tries=40):
                 f = sum((ring.monomial(m, field(rng.randrange(-9, 10)))
                          for m in mons), ring.zero(d))
             forms.append(f)
+        # no form vanishes at a point of Z: then the forms meet Z nowhere
         if z.points is not None:
             if any(field.is_zero(f.evaluate(pt))
                    for f in forms for pt in z.points):
                 continue
-        if not z.ideal.sum(forms).is_projectively_empty():
+        elif not z.ideal.sum(forms).is_projectively_empty():
             continue
         ci = Ideal(ring, forms)
         if ci.krull_dim_quotient() != ring.num_vars - count:
@@ -283,11 +299,13 @@ def _ci_restriction(z, v_basis, forms):
     """(injective, image_dim) of V -> H^0(C, O_C) for C = V(forms).
 
     The kernel is V cap (forms)_md: sections vanishing on the complete
-    intersection curve; computed by three rank computations.
+    intersection curve; computed by three rank computations, with
+    dim (forms)_md bounding the rank of its spanning multiples.
     """
     ci = Ideal(z.ring, forms)
     md = v_basis[0].degree
-    return restriction_kernel(v_basis, piece_multiples(z.ring, ci.gb, md))
+    return restriction_kernel(v_basis, piece_multiples(z.ring, ci.gb, md),
+                              ci.piece_dim(md))
 
 
 def _feasible_twist(z, pol, policy, mm):
@@ -424,7 +442,9 @@ def _build_kernel_stage(z, pol, m=None, policy="auto", seed=0, mode="numeric",
         raise ThresholdError("section space dimension target is unusable",
                              m=m, h0=h0, target=dim_v)
     basis = ideal_piece_basis(z.ideal, m * d)
-    assert len(basis) == h0
+    if len(basis) != h0:
+        raise CertificateError("ideal piece basis misses h0", degree=m * d,
+                               basis=len(basis), h0=h0)
 
     curve_rng = random.Random(f"curve:{seed}")
     forms = _draw_curve_forms(curve_rng, z, d, n - 1)
@@ -451,7 +471,8 @@ def _build_kernel_stage(z, pol, m=None, policy="auto", seed=0, mode="numeric",
         if enforce and not inj:
             last_failure = "restriction not injective"
             continue
-        rep = check_generation(cand, z.ideal, t_max=t_max, points=z.points)
+        rep = check_generation(cand, z.ideal, t_max=t_max, points=z.points,
+                               reg=reg)
         if not rep.certified:
             last_failure = f"generation {rep.verdict}"
             continue
@@ -842,7 +863,7 @@ def uniformity_experiment(d, m, num_points=10, seed=0, p=None):
     invariants = []
     threshold_errors = []
     for i, pt in enumerate(pts):
-        z = SubschemeData(ring, points_ideal(ring, [pt]).gens, points=[pt])
+        z = SubschemeData.from_points(ring, [pt])
         try:
             stage = build_surface_kernel(z, pol, m=m, seed=f"{seed}:{i}", p=p)
         except ThresholdError as exc:

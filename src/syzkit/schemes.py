@@ -18,8 +18,8 @@ from .errors import (CertificateError, CodimensionError,
                      SpecialityError)
 from .fields import QQ
 from .groebner import Ideal
-from .linalg import Matrix
-from .polyring import PolyRing, piece_multiples
+from .linalg import Matrix, rank_at_least
+from .polyring import PolyRing, piece_multiples, vanish_at
 
 
 class Polarization:
@@ -56,7 +56,8 @@ def points_ideal(ring, points):
     matrix has full rank #points, reg(I_Z) = t0 + 1 (R/I_Z is
     Cohen-Macaulay of dimension 1), so the pieces up to t0 + 1 generate
     I_Z.  Certified by comparing the staircase of the result with the
-    evaluation ranks in every computed degree (CertificateError otherwise).
+    evaluation ranks in every computed degree (CertificateError otherwise):
+    the result agrees with I_Z up to reg(I_Z), so it is I_Z, and saturated.
     Returns the ideal on its reduced Groebner basis."""
     f = ring.field
     pts = []
@@ -84,13 +85,13 @@ def points_ideal(ring, points):
         gens += [ring.from_terms(zip(mons, v), degree=t) for v in kernel]
         if ranks[t - 1] == len(pts):  # t = t0 + 1 = reg(I_Z)
             break
-    ideal = Ideal(ring, Ideal(ring, gens).gb)
+    ideal = Ideal(ring, gens)
     for t, rank in enumerate(ranks):
         if ideal.quotient_piece_dim(t) != rank:
             raise CertificateError(
                 "point ideal misses the evaluation rank", degree=t,
                 staircase=ideal.quotient_piece_dim(t), rank=rank)
-    return ideal
+    return ideal.reduced()
 
 
 class SubschemeData:
@@ -98,32 +99,45 @@ class SubschemeData:
 
     Construction rejects non-saturated generators and codimension <= 1
     (an invertible ideal sheaf twists to a line bundle, which is already
-    stable, so the kernel machinery has nothing to do)."""
+    stable, so the kernel machinery has nothing to do).  Listed points
+    must be the whole scheme: every generator vanishes there, the degree
+    is the point count, and so is the Hilbert function past the
+    regularity.  A scheme built by from_points takes points_ideal's
+    certified I_Z, so it skips the Groebner saturation check.
 
-    def __init__(self, ring, gens, points=None, name=None, check=True):
+    A zero-dimensional scheme reads its regularity off the staircase:
+    reg = 1 + min{t : HF(t) = HF(t+1)}.  For a saturated ideal, HF (which
+    field extension leaves unchanged) grows until it reaches deg Z and is
+    constant from then on, since a linear form off Z is a nonzerodivisor;
+    and R/I_Z is Cohen-Macaulay of dimension 1, so reg I_Z is one past that
+    plateau.  Curves take the regularity of the minimal free resolution.
+    The Hilbert polynomial is fitted past the regularity."""
+
+    def __init__(self, ring, gens, points=None, name=None, saturated=False):
+        """gens: generating polynomials, or an Ideal used as it is.
+        saturated: the caller has proved the ideal saturated."""
         self.ring = ring
         self.n = ring.num_vars - 1
-        self.ideal = Ideal(ring, gens)
+        self.ideal = gens if isinstance(gens, Ideal) else Ideal(ring, gens)
         self.points = [tuple(ring.field(c) for c in p) for p in points] if points else None
         self.name = name
-        if check and not self.ideal.is_zero() and not self.ideal.is_saturated():
+        if not (saturated or self.ideal.is_zero() or self.ideal.is_saturated()):
             raise NotSaturatedError(
                 "subscheme ideal is not saturated; saturate before constructing")
         aff = self.ideal.krull_dim_quotient() if not self.ideal.is_zero() else self.n + 1
         self.proj_dim = aff - 1
         self.codim = self.n - self.proj_dim
-        if check and self.codim < 2:
+        if self.codim < 2:
             raise CodimensionError(
                 "codimension must be at least 2: a divisor has invertible "
                 "ideal sheaf, which is a line bundle and already stable",
                 codim=self.codim)
         self._hp = None
         self._degree = None
-        if check and self.points is not None:
-            for p in self.points:
-                for g in self.ideal.gens:
-                    if not ring.field.is_zero(g.evaluate(p)):
-                        raise InputError("generator does not vanish at a listed point")
+        self._reg = None
+        if self.points is not None:
+            if not vanish_at(self.ideal.gens, self.points):
+                raise InputError("generator does not vanish at a listed point")
             if self.degree != len(self.points):
                 raise CertificateError("degree differs from the point count",
                                        degree=self.degree, points=len(self.points))
@@ -135,13 +149,20 @@ class SubschemeData:
                         "Hilbert function differs from the point count past "
                         "the regularity", degree=k, hf=hf, points=len(self.points))
 
+    @classmethod
+    def from_points(cls, ring, points, name=None):
+        """The reduced scheme of a point set, on the ideal points_ideal
+        certifies as I_Z."""
+        return cls(ring, points_ideal(ring, points), points=points, name=name,
+                   saturated=True)
+
     @property
     def is_empty(self):
         return self.ideal.is_unit()
 
     def hilbert_polynomial(self):
         if self._hp is None:
-            self._hp = self.ideal.hilbert_polynomial()
+            self._hp = self.ideal.hilbert_polynomial(reg=self.regularity())
         return self._hp
 
     @property
@@ -156,10 +177,24 @@ class SubschemeData:
         return self._degree
 
     def regularity(self):
-        return self.ideal.regularity()
+        if self._reg is None:
+            if self.proj_dim == 0:
+                hf = self.ideal.quotient_piece_dim
+                self._reg = 1 + next(t for t in count() if hf(t) == hf(t + 1))
+            else:
+                self._reg = self.ideal.regularity()
+        return self._reg
 
     def quotient_hf(self, k):
         return self.ideal.quotient_piece_dim(k)
+
+    def contains(self, polys):
+        """True when every poly lies in I_Z.  With listed points (the whole
+        scheme, as construction checks) that is vanishing at every point,
+        evaluated in integers; otherwise a Groebner normal form each."""
+        if self.points is not None:
+            return vanish_at(polys, self.points)
+        return all(self.ideal.contains(f) for f in polys)
 
     def __repr__(self):
         tag = self.name or "Z"
@@ -185,7 +220,9 @@ def h1_ideal_twist(z, k):
         raise InputError("twist degree must be nonnegative", k=k)
     h0 = h0_ideal_twist(z, k)
     h1 = z.degree - (comb(k + 2, 2) - h0)
-    assert h1 >= 0
+    if h1 < 0:
+        raise CertificateError("h1 of the twisted ideal sheaf is negative",
+                               k=k, h0=h0, degree=z.degree)
     return h1
 
 
@@ -210,16 +247,18 @@ def restrict_to_curve(z, v_basis, f):
 
     Returns (injective, image_dim).  The kernel of restriction is
     V ∩ f·(I_Z)_{md-deg f} (f is a nonzerodivisor mod the saturated ideal
-    once C ∩ Z = ∅, which is checked first)."""
+    once C ∩ Z = ∅, which is checked first).  Membership of V in I_Z is
+    checked by SubschemeData.contains, by evaluation for points.  R is a
+    domain, so f·(I_Z)_{md-deg f} has dimension dim (I_Z)_{md-deg f}, the
+    bound restriction_kernel certifies its rank against."""
     field = z.ring.field
     if not v_basis:
         return True, 0
     target = v_basis[0].degree
-    for v in v_basis:
-        if v.degree != target:
-            raise InputError("section space basis must be equigraded")
-        if not z.ideal.contains(v):
-            raise InputError("section does not lie in the subscheme ideal")
+    if any(v.degree != target for v in v_basis):
+        raise InputError("section space basis must be equigraded")
+    if not z.contains(v_basis):
+        raise InputError("section does not lie in the subscheme ideal")
     if z.points is not None:
         for p in z.points:
             if field.is_zero(f.evaluate(p)):
@@ -230,26 +269,35 @@ def restrict_to_curve(z, v_basis, f):
         if not meet.is_projectively_empty():
             raise GeometricPositionError("curve meets the subscheme")
 
-    lower = piece_multiples(z.ring, z.ideal.gb, target - f.degree)
-    return restriction_kernel(v_basis, [f * g for g in lower])
+    lower_degree = target - f.degree
+    lower = piece_multiples(z.ring, z.ideal.gb, lower_degree)
+    return restriction_kernel(v_basis, [f * g for g in lower],
+                              z.ideal.piece_dim(lower_degree))
 
 
-def restriction_kernel(v_basis, w_polys):
+def restriction_kernel(v_basis, w_polys, w_bound=None):
     """(injective, image_dim) of V -> S_md / span(W) for a basis of V and
     polynomials W of the same degree md.  The kernel is V ∩ span(W), of
-    dimension rank V + rank W - rank(V + W)."""
+    dimension rank V + rank W - rank(V + W).
+
+    Each rank is a rank_at_least against a proven bound: #V for V, w_bound
+    (default #W) for W, and rank V + rank W for the union, so Bareiss over
+    Q runs only when a mod-p rank misses its bound."""
     ring = v_basis[0].ring
+    field = ring.field
     md = v_basis[0].degree
     v_rows = [ring.to_vector(p, md) for p in v_basis]
-    rank_v = Matrix(ring.field, v_rows).rank()
+    rank_v = rank_at_least(field, v_rows, len(v_rows))
     if rank_v != len(v_basis):
         raise CertificateError("section basis is linearly dependent",
                                rank=rank_v, size=len(v_basis))
     if not w_polys:
         return True, rank_v
     w_rows = [ring.to_vector(p, md) for p in w_polys]
-    rank_w = Matrix(ring.field, w_rows).rank()
-    rank_union = Matrix(ring.field, v_rows + w_rows).rank()
+    if w_bound is None:
+        w_bound = len(w_rows)
+    rank_w = rank_at_least(field, w_rows, w_bound)
+    rank_union = rank_at_least(field, v_rows + w_rows, rank_v + rank_w)
     kernel = rank_v + rank_w - rank_union
     return kernel == 0, rank_v - kernel
 
@@ -260,15 +308,11 @@ def restriction_kernel(v_basis, w_polys):
 def builtin_subscheme(name, field=QQ):
     """Canonical test subschemes; returns (SubschemeData, default d)."""
     if name == "three-points":
-        ring = PolyRing(field, 3)
         pts = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        ideal = points_ideal(ring, pts)
-        return SubschemeData(ring, ideal.gens, points=pts, name=name), 3
+        return SubschemeData.from_points(PolyRing(field, 3), pts, name=name), 3
     if name == "collinear-points":
-        ring = PolyRing(field, 3)
         pts = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
-        ideal = points_ideal(ring, pts)
-        return SubschemeData(ring, ideal.gens, points=pts, name=name), 3
+        return SubschemeData.from_points(PolyRing(field, 3), pts, name=name), 3
     if name == "one-point":
         ring = PolyRing(field, 3)
         pts = [(0, 0, 1)]
@@ -349,8 +393,7 @@ def parse_subscheme_file(text, field=QQ):
             if len(p) != n + 1:
                 raise InputError("point coordinate count does not match ambient",
                                  point=[str(c) for c in p])
-        ideal = points_ideal(ring, points)
-        z = SubschemeData(ring, ideal.gens, points=points)
+        z = SubschemeData.from_points(ring, points)
     elif polys:
         gens = [ring.parse(s) for s in polys]
         z = SubschemeData(ring, gens)

@@ -1,6 +1,10 @@
 """CLI surface: deterministic JSON reports, error payloads, exit codes."""
 
+import hashlib
 import json
+import random
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -208,3 +212,43 @@ def test_unknown_suite_rejected_by_parser():
         main(["verify", "nonsense"])
     with pytest.raises(SystemExit):
         main(["resolve", "--builtin", "dodecahedron"])
+
+
+def _random_point_file(seed, n, d, count):
+    """count distinct projective points of P^n with integer coordinates in
+    [-9, 9], drawn from the seed, as a subscheme input file."""
+    rng = random.Random(seed)
+    seen, pts = set(), []
+    while len(pts) < count:
+        p = tuple(rng.randint(-9, 9) for _ in range(n + 1))
+        if not any(p):
+            continue
+        lead = next(c for c in p if c)
+        key = tuple(Fraction(c, lead) for c in p)
+        if key not in seen:
+            seen.add(key)
+            pts.append(p)
+    lines = [f"ambient: {n}", f"d: {d}", "points:"]
+    lines += [" ".join(str(c) for c in p) for p in pts]
+    return "\n".join(lines) + "\n"
+
+
+# stdout SHA-256 of these resolves, frozen before point schemes were answered
+# from their evaluation data (each took about 28 s then)
+@pytest.mark.parametrize("name,n,d,count,digest", [
+    ("p2-20.txt", 2, 3, 20,
+     "a6edea8f65c0539043f2f2f2aaff04a1f2af07be15e2d7ae59d33b41e6a1c672"),
+    ("p3-8.txt", 3, 2, 8,
+     "96f09a55f27b8dba6f092d553088ca6662d7fcdcbfff4edeb3f856e57e6af6c3"),
+], ids=["P2-20-points", "P3-8-points"])
+def test_random_point_set_reports_are_frozen(capsys, monkeypatch, tmp_path,
+                                             name, n, d, count, digest):
+    monkeypatch.delenv("SYZKIT_PRIME", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(_random_point_file(1, n, d, count))
+    start = time.perf_counter()
+    code, out = run(capsys, "resolve", "--input", name)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert elapsed < 15.0

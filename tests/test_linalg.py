@@ -11,8 +11,9 @@ import pytest
 from syzkit import linalg
 from syzkit.errors import CertificateError, UnsupportedFieldError
 from syzkit.fields import GF, QQ
-from syzkit.linalg import (Matrix, Span, fit_hilbert_polynomial,
-                           primitive_integers, random_int_matrix, random_matrix)
+from syzkit.linalg import (CERT_PRIME, Matrix, Span, fit_hilbert_polynomial,
+                           primitive_integers, random_int_matrix, random_matrix,
+                           rank_at_least)
 
 
 def test_identity_rank_and_kernel():
@@ -272,3 +273,89 @@ def test_fit_hilbert_polynomial():
     assert fit_hilbert_polynomial(1, range(4), lambda k: Fraction(k, 2)) is None
     # the fit points agree with a line, a check point does not
     assert fit_hilbert_polynomial(1, range(4), lambda k: min(k, 2)) is None
+
+
+# -- forward-only and certified ranks -----------------------------------------
+
+
+def _deficient_rows(rng, nr, nc, field):
+    """nr rows of width nc over the field, of rank at most about nr/2: the
+    later rows are combinations of the earlier ones."""
+    base = [[field(rng.randrange(-5, 6)) for _ in range(nc)]
+            for _ in range(max(1, nr // 2))]
+    rows = list(base)
+    while len(rows) < nr:
+        a, b = rng.sample(range(len(base)), 2) if len(base) > 1 else (0, 0)
+        s, t = field(rng.randrange(-3, 4)), field(rng.randrange(-3, 4))
+        rows.append([field.add(field.mul(s, x), field.mul(t, y))
+                     for x, y in zip(base[a], base[b])])
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_certified_and_forward_ranks_match_the_echelon_ranks(field):
+    rng = random.Random(f"ranks:{field!r}")
+    for trial in range(120):
+        nr, nc = rng.randrange(1, 11), rng.randrange(1, 11)
+        if trial % 2:
+            rows = _deficient_rows(rng, nr, nc, field)
+        else:
+            rows = [[field(rng.randrange(-4, 5)) for _ in range(nc)]
+                    for _ in range(nr)]
+        m = Matrix(field, rows)
+        # Bareiss over Q, the reduced echelon form over F_p
+        exact = m._echelon()[0]
+        assert m.rank() == exact
+        # any proven upper bound gives the exact rank
+        for bound in {exact, min(nr, nc), nr}:
+            assert rank_at_least(field, rows, bound) == exact
+
+
+def test_certified_rank_falls_back_to_bareiss_on_a_rank_drop_mod_p(monkeypatch):
+    rows = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(CERT_PRIME)]]
+    assert Matrix(GF(CERT_PRIME), [[1, 0], [1, CERT_PRIME]]).rank() == 1
+    calls = []
+    exact = Matrix.rank
+
+    def spy(self):
+        calls.append(self.field)
+        return exact(self)
+
+    monkeypatch.setattr(Matrix, "rank", spy)
+    assert rank_at_least(QQ, rows, 2) == 2
+    assert calls == [QQ]
+    # a bound the mod-p rank reaches needs no Bareiss
+    calls.clear()
+    assert rank_at_least(QQ, [[Fraction(1), Fraction(0)],
+                              [Fraction(1), Fraction(3)]], 2) == 2
+    assert calls == []
+
+
+def test_bareiss_rejects_an_inexact_division():
+    # integer rows keep every division exact; a non-integer entry breaks the
+    # invariant, and the elimination says so instead of truncating
+    with pytest.raises(CertificateError, match="Bareiss"):
+        linalg._bareiss([[Fraction(1, 2), 1], [1, 1], [1, 3]], 2)
+
+
+def test_span_over_q_keeps_primitive_integer_rows():
+    p = 7
+    span = Span(QQ)
+    # the greedy pick over Q is {r1, r2}, which differs from the pick mod p
+    assert span.add([Fraction(1), Fraction(0)])
+    assert span.add([Fraction(1), Fraction(p)])
+    assert not span.add([Fraction(0), Fraction(1)])
+    assert span.rows == [[1, 0], [0, 1]]
+    span = Span(QQ)
+    assert span.add([Fraction(2, 3), Fraction(4, 3), Fraction(0)])
+    assert span.add([Fraction(3), Fraction(1), Fraction(5, 2)])
+    assert not span.add([Fraction(11, 3), Fraction(7, 3), Fraction(5, 2)])
+    assert span.rows == [[1, 2, 0], [0, -2, 1]]
+    assert span.pivots == [0, 1]
+    # a row reduced at a later pivot than its first nonzero entry: the
+    # cross-multiplication scales the entries left of the pivot too
+    span = Span(QQ)
+    rows = [[0, 4, 3, -4], [1, 2, 0, -4], [-2, -1, 1, -2], [-5, -4, 2, 0]]
+    assert [span.add([Fraction(c) for c in r]) for r in rows] \
+        == [True, True, True, False]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import syzkit.groebner as groebner
 import syzkit.resolver as resolver
 from syzkit.chow import ChernVector, ChowClass
 from syzkit.errors import (CertificateError, GenericityError, InputError,
@@ -20,7 +21,8 @@ from syzkit.resolver import (_chern_inverse, _gradient_rank_at, build_chain,
                              check_generation, genericity_experiment,
                              hoppe_stage, ideal_piece_basis,
                              stage_kernel_generators, uniformity_experiment)
-from syzkit.schemes import Polarization, builtin_subscheme
+from syzkit.schemes import (Polarization, builtin_subscheme,
+                            parse_subscheme_file, restrict_to_curve)
 
 
 def three_points():
@@ -527,3 +529,66 @@ def test_kernel_generators_reject_non_integer_coordinates(monkeypatch):
                         lambda self: [[c / 2 for c in v] for v in exact(self)])
     with pytest.raises(CertificateError, match="non-integer"):
         stage_kernel_generators(ring, ring.gens(), 1)
+
+
+# -- point schemes from evaluation data, certified ranks ----------------------
+
+
+class _Reached(Exception):
+    pass
+
+
+def test_points_route_never_reaches_saturation_or_resolution(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise _Reached("a Groebner-only check ran on a points input")
+
+    monkeypatch.setattr(groebner, "minimal_free_resolution", forbidden)
+    monkeypatch.setattr(Ideal, "is_saturated", forbidden)
+    for text in ("ambient: 2\nd: 3\npoints:\n1 0 0\n0 1 0\n0 0 1\n"
+                 "2 3 5\n-1 4 7\n",
+                 "ambient: 3\nd: 2\npoints:\n1 0 0 0\n0 1 0 0\n1 1 1 1\n"
+                 "2 -1 3 1/2\n"):
+        z, pol = parse_subscheme_file(text)
+        assert build_chain(z, pol).report()["identity_holds"] is True
+    with pytest.raises(_Reached):
+        parse_subscheme_file("ambient: 2\nd: 3\nideal:\nx0\nx1\n")
+
+
+def test_generation_and_restriction_ranks_need_no_bareiss(monkeypatch):
+    z, pol = three_points()
+    ring = z.ring
+    # a drawn V of dimension 18 in (I_Z)_6: its degree-7 multiples outnumber
+    # dim (I_Z)_7 = 33, so that rank must stop at the piece dimension
+    v = build_surface_kernel(z, pol).v_basis
+    by_resolution = check_generation(v, z.ideal)
+    assert by_resolution.table == [(6, 18, 25), (7, 33, 33)]
+    q_ranks = []
+    exact = Matrix.rank
+
+    def spy(self):
+        if self.field == QQ:
+            q_ranks.append((self.nrows, self.ncols))
+        return exact(self)
+
+    monkeypatch.setattr(Matrix, "rank", spy)
+    rep = check_generation(v, z.ideal, reg=z.regularity())
+    assert rep.certified and rep.table == by_resolution.table
+    # V meets conic * (I_Z)_2 only in 0, so the union rank reaches its bound
+    conic = ring.parse("x0^2 + x1^2 + x2^2")
+    v4 = [ring.parse(m) for m in ("x0^3*x1", "x0^3*x2", "x0*x1^3",
+                                  "x1^3*x2", "x0*x2^3", "x1*x2^3")]
+    assert restrict_to_curve(z, v4, conic) == (True, 6)
+    assert q_ranks == []
+    # a kernel vector makes the union rank miss rank V + rank W: Bareiss
+    planted = v4 + [conic * ring.parse("x0*x1")]
+    assert restrict_to_curve(z, planted, conic) == (False, 6)
+    assert q_ranks == [(10, 15)]
+
+
+def test_stage_rejects_a_piece_basis_off_h0(monkeypatch):
+    z, pol = three_points()
+    honest = resolver.ideal_piece_basis
+    monkeypatch.setattr(resolver, "ideal_piece_basis",
+                        lambda ideal, k: honest(ideal, k)[:-1])
+    with pytest.raises(CertificateError, match="h0"):
+        build_surface_kernel(z, pol)

@@ -12,7 +12,7 @@ from syzkit.errors import (CertificateError, CodimensionError,
 from syzkit.fields import GF, QQ
 from syzkit.groebner import Ideal
 from syzkit.linalg import Matrix
-from syzkit.polyring import PolyRing
+from syzkit.polyring import PolyRing, piece_multiples
 from syzkit.schemes import (BUILTIN_NAMES, Polarization, SubschemeData,
                             builtin_subscheme, curve_sections, h0_ideal_twist,
                             h1_ideal_twist, parse_subscheme_file, points_ideal,
@@ -370,3 +370,61 @@ def test_restriction_kernel_rejects_dependent_section_basis():
     f = ring.parse("x0*x1")
     with pytest.raises(CertificateError, match="linearly dependent"):
         restriction_kernel([f, f.scale(Fraction(2))], [ring.parse("x2^2")])
+
+
+# -- point schemes answered from their evaluation data ------------------------
+
+
+@pytest.mark.parametrize("n,gens", [
+    (3, ["x0^2", "x1"]),
+    (3, ["x0^3", "x1"]),
+    (3, ["x0^2", "x0*x1", "x1^2"]),
+    (4, ["x0^2", "x0*x1", "x1^2", "x0*x2", "x1*x2", "x2^2"]),
+], ids=["P2-double", "P2-triple", "P2-fat", "P3-fat"])
+def test_staircase_regularity_matches_the_resolution_on_fat_points(n, gens):
+    ring = PolyRing(QQ, n)
+    polys = [ring.parse(g) for g in gens]
+    z = SubschemeData(ring, polys)
+    assert z.proj_dim == 0
+    oracle = Ideal(ring, polys)
+    assert z.regularity() == oracle.regularity()
+    assert z.hilbert_polynomial() == oracle.hilbert_polynomial()
+    assert z.hilbert_polynomial() == (z.degree,) + (0,) * (n - 1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_membership_by_evaluation_matches_the_normal_form(field):
+    ring = PolyRing(field, 3)
+    rng = random.Random(f"membership:{field!r}")
+    z = SubschemeData.from_points(ring, _random_reduced_points(rng, 3, 5, field))
+    outside = 0
+    for k in range(2, 6):
+        multiples = piece_multiples(ring, z.ideal.gb, k)
+        mons = ring.monomials_of_degree(k)
+        for _ in range(6):
+            inside = ring.zero(k)
+            for g in multiples:
+                inside = inside + g.scale(field(rng.randrange(-5, 6)))
+            nudge = ring.monomial(rng.choice(mons), field(rng.randrange(1, 6)))
+            assert z.contains([inside]) and z.ideal.contains(inside)
+            for f in (nudge, inside + nudge):
+                assert z.contains([f]) == z.ideal.contains(f)
+                outside += not z.ideal.contains(f)
+    assert outside >= 24
+
+
+def test_h1_rejects_a_negative_count():
+    z = three_points()
+    z._degree = 1  # below the point count, so chi(I_Z(k)) comes out wrong
+    with pytest.raises(CertificateError, match="negative"):
+        h1_ideal_twist(z, 1)
+
+
+def test_hilbert_polynomial_rejects_a_fit_below_the_regularity():
+    ring = PolyRing(QQ, 3)
+    # four collinear points: HF = 1, 2, 3, 4, 4, ... and reg = 4
+    ideal = points_ideal(ring, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)])
+    assert ideal.hilbert_polynomial(reg=4) == (4, 0, 0)
+    with pytest.raises(CertificateError, match="not polynomial"):
+        ideal.hilbert_polynomial(reg=0)
+
