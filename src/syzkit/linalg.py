@@ -1,6 +1,6 @@
 """Dense exact matrices with rank, kernel, solving and seeded random sampling,
-the incremental row echelon, the certified rank over Q, primitive integer
-scaling and the fit of a binomial-basis Hilbert polynomial.
+the incremental row echelon, the rank tests over Q and F_p, primitive
+integer scaling and the fit of a binomial-basis Hilbert polynomial.
 
 Over Q the forward elimination is fraction-free (Bareiss): rows are scaled
 to integers once and every intermediate entry stays an integer (a minor of
@@ -12,10 +12,13 @@ scaled integer row.  Over F_p a kernel or a solution comes from the
 reduced echelon form mod p; a rank is forward-only, the row count of a
 Span, with no clearing above the pivots.
 
-rank_at_least is the certified rank over Q for a rank with a proven upper
-bound: rank mod p <= rank over Q <= bound, so a forward-only rank mod
-CERT_PRIME that reaches the bound proves the rank, and Bareiss runs only
-when it falls short.
+A Span over F_p reduces packed rows, one Python int each, so reducing by
+a stored row is one big-int multiply-add (the slot width that keeps every
+slot from carrying is argued at Span).
+
+rank_reaches is the one test "is the rank at least target?"; over Q a
+rank mod CERT_PRIME that reaches target proves it, and Bareiss runs only
+on a miss.  rank_at_least is the exact rank under a proven upper bound.
 """
 
 import random
@@ -25,8 +28,8 @@ from math import comb, gcd, lcm
 from .errors import CertificateError, UnsupportedFieldError
 from .fields import GF, QQ, PrimeField, check_same_field
 
-# the prime of rank_at_least: 2^31 - 1, large enough that a rank drop mod p
-# on the integer rows syzkit ranks is rare
+# the prime of the rank tests over Q: 2^31 - 1, large enough that a rank drop
+# mod p on the integer rows syzkit ranks is rare
 CERT_PRIME = 2 ** 31 - 1
 
 
@@ -83,7 +86,8 @@ class Matrix:
 
     def rank(self):
         if isinstance(self.field, PrimeField):
-            return _span_rank(self.field, self.rows, min(self.nrows, self.ncols))
+            return rank_at_least(self.field, self.rows,
+                                 min(self.nrows, self.ncols))
         return self._echelon()[0]
 
     def rank_and_kernel(self):
@@ -276,21 +280,86 @@ class Span:
     """Incremental row echelon over a field: the span of the rows added so
     far.  A stored row is zero left of its pivot and at the pivots of the
     rows stored before it, so a new row reduces in one pass over the stored
-    rows, each update running from the pivot column on.  Over F_p rows are
-    residues scaled to pivot 1; over Q they are primitive integer rows, and
-    a reduction cross-multiplies by the two pivot entries over their gcd and
-    strips the content, so the rows selected are those Fraction arithmetic
-    would select."""
+    rows.  rows holds the stored rows and pivots their pivot columns.
+
+    Over F_p rows are residues scaled to pivot 1.  The reduction packs a
+    row into one Python int of fixed-width slots, column j in bits
+    [j*W, (j+1)*W), so reducing it by a stored row R at pivot c is one
+    big-int multiply-add V += (p - a)*R, with a the residue of V's slot c.
+    A slot starts below p and each of at most ncols updates adds at most
+    (p-1)^2, so it stays below p + ncols*(p-1)^2 <
+    2^(2*bitlen(p) + bitlen(ncols) + 1).  W is that width rounded up to
+    whole bytes: no slot carries into the next, and the residues are read
+    back exactly, once per row, after the pass.  Packing is lazy: a row is
+    packed at its first nonzero pivot residue (a row that needs no
+    reduction is never packed), and a stored row at its first use.
+
+    Over Q rows are primitive integer rows, and a reduction cross-multiplies
+    by the two pivot entries over their gcd and strips the content, so the
+    rows selected are those Fraction arithmetic would select."""
 
     def __init__(self, field):
         self.p = field.p if isinstance(field, PrimeField) else None
         self.rows = []
         self.pivots = []
+        self._packed = []  # over F_p: each stored row packed, or None until used
+        self._ncols = None
 
     def add(self, vec):
         """Reduce vec against the span and insert it; True when the span grew."""
         p = self.p
-        v = primitive_integers(vec) if p is None else [c % p for c in vec]
+        if p is None:
+            return self._add_rational(primitive_integers(vec))
+        ncols = len(vec)
+        if self._ncols is None:
+            self._ncols = ncols
+            self._bytes = -(-(2 * p.bit_length() + ncols.bit_length() + 1) // 8)
+        elif ncols != self._ncols:
+            raise ValueError("ragged rows")
+        v = [c % p for c in vec]
+        lo = next((i for i, c in enumerate(v) if c), None)  # v is 0 left of lo
+        if lo is None:
+            return False
+        w = 8 * self._bytes
+        mask = (1 << w) - 1
+        packed = None
+        for k, piv in enumerate(self.pivots):
+            if piv < lo:
+                continue  # the residue at piv is already 0
+            if packed is None:
+                a = v[piv]
+                if a:
+                    packed = self._pack(v, lo)
+            else:
+                a = (packed >> piv * w & mask) % p
+            if a:
+                row = self._packed[k]
+                if row is None:
+                    row = self._packed[k] = self._pack(self.rows[k], piv)
+                packed += (p - a) * row
+            if lo == piv:
+                lo += 1
+        if packed is not None:
+            v[lo:] = [(packed >> s & mask) % p for s in range(lo * w, ncols * w, w)]
+            v[:lo] = [0] * lo
+        piv = next((i for i in range(lo, ncols) if v[i]), None)
+        if piv is None:
+            return False
+        inv = pow(v[piv], -1, p)
+        v[piv:] = [inv * c % p for c in v[piv:]]
+        self.rows.append(v)
+        self.pivots.append(piv)
+        self._packed.append(None)
+        return True
+
+    def _pack(self, v, lo):
+        """The residues v as one int of byte-wide slots; v is 0 left of lo."""
+        size = self._bytes
+        return int.from_bytes(b"".join([c.to_bytes(size, "little")
+                                        for c in v[lo:]]),
+                              "little") << 8 * size * lo
+
+    def _add_rational(self, v):
         lo = next((i for i, c in enumerate(v) if c), None)  # v is 0 left of lo
         if lo is None:
             return False
@@ -298,54 +367,65 @@ class Span:
             c = v[piv]
             if not c:
                 continue
-            if p is not None:
-                v[piv:] = [(a - c * b) % p for a, b in zip(v[piv:], row[piv:])]
-            else:
-                a = row[piv]
-                g = gcd(a, c)
-                a, c = a // g, c // g
-                if a != 1:
-                    v[lo:piv] = [a * x for x in v[lo:piv]]
-                v[piv:] = [a * x - c * y for x, y in zip(v[piv:], row[piv:])]
-                g = gcd(*v[lo:])
-                if g > 1:
-                    v[lo:] = [x // g for x in v[lo:]]
+            a = row[piv]
+            g = gcd(a, c)
+            a, c = a // g, c // g
+            if a != 1:
+                v[lo:piv] = [a * x for x in v[lo:piv]]
+            v[piv:] = [a * x - c * y for x, y in zip(v[piv:], row[piv:])]
+            g = gcd(*v[lo:])
+            if g > 1:
+                v[lo:] = [x // g for x in v[lo:]]
             if lo == piv:
                 lo += 1
         piv = next((i for i in range(lo, len(v)) if v[i]), None)
         if piv is None:
             return False
-        if p is not None:
-            inv = pow(v[piv], p - 2, p)
-            v = [inv * c % p for c in v]
         self.rows.append(v)
         self.pivots.append(piv)
         return True
 
 
-def _span_rank(field, rows, cap):
-    """Forward-only rank of rows: the rows a Span accepts, counted until
-    the count reaches cap, a proven upper bound on the rank."""
+def rank_reaches(field, rows, target):
+    """Is the rank of rows over the field at least target?
+
+    False at once when there are fewer rows than target.  Over F_p the rows
+    go forward-only through one Span, which stops with True once it holds
+    target rows and with False once the rows left cannot bring it there.
+    Over Q each row is scaled to primitive integers and ranked that way mod
+    CERT_PRIME: rank mod p <= rank over Q, so reaching target is a proof,
+    and only a miss is decided by Bareiss."""
+    if len(rows) < target:
+        return False
+    if not isinstance(field, PrimeField):
+        ints = [primitive_integers(r) for r in rows]
+        return (rank_reaches(GF(CERT_PRIME), ints, target)
+                or Matrix(field, rows).rank() >= target)
     span = Span(field)
-    rank = 0
+    left = len(rows)
     for row in rows:
-        if rank >= cap:
-            break
-        rank += span.add(row)
-    return rank
+        left -= 1
+        if span.add(row) and len(span.rows) >= target:
+            return True
+        if len(span.rows) + left < target:
+            return False
+    return len(span.rows) >= target
 
 
 def rank_at_least(field, rows, bound):
     """The exact rank of rows over the field, given a proven upper bound.
 
-    Over Q each row is scaled to primitive integers and ranked forward-only
-    mod CERT_PRIME.  rank mod p <= rank over Q <= bound, so reaching the
-    bound proves the rank; otherwise the Bareiss rank over Q is returned.
-    Over F_p the rank is the forward-only one, stopped at the bound."""
+    rank_reaches settles the common case, the rank reaching the bound, in
+    one forward pass mod p (over Q on primitive integer rows mod
+    CERT_PRIME).  On a miss the rank is counted exactly: by Bareiss over Q,
+    by a full forward pass over F_p."""
     if isinstance(field, PrimeField):
-        return _span_rank(field, rows, bound)
+        if rank_reaches(field, rows, bound):
+            return bound
+        span = Span(field)
+        return sum(span.add(r) for r in rows)
     ints = [primitive_integers(r) for r in rows]
-    if _span_rank(GF(CERT_PRIME), ints, bound) == bound:
+    if rank_reaches(GF(CERT_PRIME), ints, bound):
         return bound
     return Matrix(field, rows).rank()
 

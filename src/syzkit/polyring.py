@@ -8,7 +8,8 @@ input is rejected at construction.
 
 from math import comb
 
-from .errors import HomogeneityError, ParseError, RingMismatchError
+from .errors import (CertificateError, HomogeneityError, ParseError,
+                     RingMismatchError)
 from .fields import PrimeField
 from .linalg import Matrix, primitive_integers
 
@@ -74,7 +75,9 @@ class PolyRing:
             n = self.num_vars
             mons = [e for e in _compositions(d, n)]
             mons.sort(key=self.key, reverse=True)
-            assert len(mons) == comb(d + n - 1, n - 1)
+            if len(mons) != comb(d + n - 1, n - 1):
+                raise CertificateError("monomial count is not the piece dimension",
+                                       degree=d, count=len(mons))
             self._mon_cache[d] = mons
         return self._mon_cache[d]
 

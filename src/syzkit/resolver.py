@@ -21,7 +21,8 @@ from .errors import (CertificateError, GenericityError, HypothesisError,
                      InputError, SpecialityError, ThresholdError)
 from .fields import DEFAULT_PRIME, GF, QQ
 from .groebner import FreeModule, Ideal, PolyMatrix, Vec
-from .linalg import Matrix, Span, primitive_integers, rank_at_least
+from .linalg import (Matrix, Span, primitive_integers, rank_at_least,
+                     rank_reaches)
 from .modtools import GradedModulePresentation, certify_locally_free, hoppe_check
 from .polyring import (PolyRing, integer_powers, piece_multiples,
                        vanish_at)
@@ -78,14 +79,13 @@ class GenerationReport:
                 f"max_checked={self.max_degree_checked})")
 
 
-def _gradient_rank_at(ring, polys, point):
-    """Rank of the Jacobian of the polys at a point where they all vanish.
-
-    The work is in integers: each poly is scaled to primitive integer
-    coefficients and the point by integer_powers.  Either scaling
-    multiplies a Jacobian row by a nonzero constant, so the rank is
-    unchanged.  Over F_p the elements already are integers with denominator
-    1, the gcd divided out is a unit, and Matrix reduces the entries mod p."""
+def _gradient_rows(ring, polys, point):
+    """The Jacobian of the polys at a point, in integers: each poly is
+    scaled to primitive integer coefficients and the point by
+    integer_powers.  Either scaling multiplies a row by a nonzero constant,
+    so the rank is unchanged.  Over F_p the elements already are integers
+    with denominator 1, the gcd divided out is a unit, and the ranks reduce
+    the entries mod p."""
     n = ring.num_vars
     powers = integer_powers(point, max(p.degree for p in polys) - 1)
     rows = []
@@ -102,7 +102,12 @@ def _gradient_rank_at(ring, polys, point):
                     acc += val
             row.append(acc)
         rows.append(row)
-    return Matrix(ring.field, rows).rank()
+    return rows
+
+
+def _gradient_rank_at(ring, polys, point):
+    """Rank of the Jacobian of the polys at a point where they all vanish."""
+    return Matrix(ring.field, _gradient_rows(ring, polys, point)).rank()
 
 
 def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
@@ -118,8 +123,10 @@ def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
     points, when given, are the reduced points the ideal vanishes on
     exactly: membership of V is then checked by evaluation, and a fiberwise
     Jacobian-spanning screen at each point supplies definitive failure
-    witnesses.  "uncertified" means the scan window was capped below the
-    certification threshold.
+    witnesses; it asks rank_reaches whether the Jacobian has rank n, so
+    Bareiss runs only at a point where the rank mod p falls short.
+    "uncertified" means the scan window was capped below the certification
+    threshold.
     """
     if not v_polys:
         raise InputError("empty section space")
@@ -140,7 +147,7 @@ def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
     if points:
         n = ring.num_vars - 1
         for p in points:
-            if _gradient_rank_at(ring, v_polys, p) < n:
+            if not rank_reaches(ring.field, _gradient_rows(ring, v_polys, p), n):
                 witness = [str(c) for c in p]
                 break
     table = []
@@ -249,7 +256,7 @@ def _draw_sections(rng, basis, dim_v, field, p):
     The sums run in integers, over one common denominator of the basis."""
     h0 = len(basis)
     coeffs = [[rng.randrange(p) for _ in range(h0)] for _ in range(dim_v)]
-    if Matrix(GF(p), [[GF(p)(a) for a in row] for row in coeffs]).rank() < dim_v:
+    if not rank_reaches(GF(p), coeffs, dim_v):
         return None
     den = lcm(*(c.denominator for b in basis for c in b.coeffs.values()))
     nums = [{e: c.numerator * (den // c.denominator) for e, c in b.coeffs.items()}
@@ -413,7 +420,9 @@ def _build_kernel_stage(z, pol, m=None, policy="auto", seed=0, mode="numeric",
     if pol.n != z.n:
         raise InputError("polarization ambient disagrees with the subscheme",
                          pol_n=pol.n, z_n=z.n)
-    p = p or DEFAULT_PRIME
+    if p is None:
+        p = DEFAULT_PRIME
+    GF(p)  # a modulus that is not prime fails here, also when nothing is sampled
     ring = z.ring
     field = ring.field
     d = pol.d
@@ -803,8 +812,12 @@ def genericity_experiment(r, n, v, trials=100, seed=0, p=None, t_cap=None):
 
     Generation holds iff the submodule the sections generate fills the
     whole degree-t piece of R(1)^r for some t <= t_cap (piece equality
-    propagates upward), so each trial is a handful of F_p ranks."""
-    p = p or DEFAULT_PRIME
+    propagates upward), so each trial is a handful of rank_reaches tests
+    over F_p.  A degree with v * dim R_t < r * dim R_(t+1) is skipped
+    unbuilt: the rank is at most the number of multiples, so it cannot
+    reach the number of columns."""
+    if p is None:
+        p = DEFAULT_PRIME
     fp = GF(p)
     ring = PolyRing(fp, n + 1)
     free = FreeModule(ring, (-1,) * r)
@@ -822,15 +835,15 @@ def genericity_experiment(r, n, v, trials=100, seed=0, p=None, t_cap=None):
                     if c:
                         terms[(comp, mono)] = fp(c)
             vecs.append(Vec(free, terms, degree=0))
-        generated = False
         for t in range(t_cap + 1):
+            if v * ring.piece_dim(t) < r * ring.piece_dim(t + 1):
+                continue  # fewer multiples than columns: the rank falls short
             basis = free.piece_basis(t)
             index = {b: i for i, b in enumerate(basis)}
             rows = [w.coords(index, t) for w in piece_multiples(ring, vecs, t)]
-            if rows and Matrix(fp, rows).rank() == len(basis):
-                generated = True
+            if rank_reaches(fp, rows, len(basis)):
                 break
-        if not generated:
+        else:
             failures += 1
     return {
         "r": r, "n": n, "v": v, "p": p, "trials": trials, "seed": seed,
@@ -844,7 +857,7 @@ def uniformity_experiment(d, m, num_points=10, seed=0, p=None):
     """build_surface_kernel at num_points seeded single points with the
     same (d, m); the numeric invariants must coincide point-for-point.
     A uniform threshold failure re-raises; a mixed outcome would be a bug
-    and is asserted against."""
+    and raises CertificateError, as do differing invariants."""
     ring = PolyRing(QQ, 3)
     pol = Polarization(2, d)
     rng = random.Random(f"uniformity:{seed}")
@@ -872,12 +885,16 @@ def uniformity_experiment(d, m, num_points=10, seed=0, p=None):
         invariants.append((stage.dim_v, stage.rank,
                            tuple(stage.chern.total.l_ints())))
     if threshold_errors:
-        assert len(threshold_errors) == len(pts), \
-            "threshold failure was not uniform across the sample"
+        if len(threshold_errors) != len(pts):
+            raise CertificateError(
+                "threshold failure was not uniform across the sample",
+                failed=len(threshold_errors), points=len(pts))
         first = threshold_errors[0]
         raise ThresholdError("below threshold uniformly across the sample",
                              points=num_points, **first.details)
-    assert len(set(invariants)) == 1, "stage invariants differ across points"
+    if len(set(invariants)) != 1:
+        raise CertificateError("stage invariants differ across points",
+                               distinct=len(set(invariants)))
     dim_v, rank, chern = invariants[0]
     return {
         "d": d, "m": m, "points": num_points, "seed": seed,

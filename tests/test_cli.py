@@ -252,3 +252,41 @@ def test_random_point_set_reports_are_frozen(capsys, monkeypatch, tmp_path,
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert elapsed < 15.0
+
+
+# stdout SHA-256 of these genericity runs, frozen before the F_p rows were
+# packed and before degrees with fewer multiples than columns were skipped
+@pytest.mark.parametrize("p,r,n,v,code,digest", [
+    (32003, 3, 3, 6, 0,
+     "d0c6dcef00241442029feb5e398af3ce6e866d6e5cb55cae72e5ce68773dcc5a"),
+    (32003, 3, 2, 4, 1,
+     "1c43b53193809aec5f5505a6efb7b3deffbd0341bee018e2fb1d1d12bb534ba3"),
+    (32003, 4, 2, 5, 1,
+     "c441842cc1563c3984d0ea5f6e5368317cc74bda99442a30f6d210cb68cfba4f"),
+    (1073741789, 3, 3, 6, 0,
+     "f6399ceaca70bf839d328e9955fc879994c84b2aa544168d3ef7d09bf107840a"),
+    (1073741789, 3, 2, 4, 1,
+     "522fcd7a85d03e802d0f345ec0cad3eb64e20d477b2d3c66d65819e94cad6a5f"),
+    (1073741789, 4, 2, 5, 1,
+     "51d5f3490ad747ed39328d76d7b33a4961412b8ec0784e6483a1978aa7619704"),
+])
+def test_genericity_reports_are_frozen(capsys, p, r, n, v, code, digest):
+    rc, out = run(capsys, "verify", "genericity", "--r", str(r), "--n", str(n),
+                  "--v", str(v), "--trials", "20", "--seed", "7", "--p", str(p))
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolve", "--builtin", "one-point"],
+    ["resolve", "--builtin", "three-points"],
+    ["verify", "genericity", "--r", "1", "--n", "2", "--v", "3", "--trials", "2"],
+    ["verify", "uniformity", "--d", "3", "--m", "1", "--points", "2"],
+], ids=["resolve-full-space", "resolve-sampled", "genericity", "uniformity"])
+@pytest.mark.parametrize("prime", ["0", "4"])
+def test_modulus_that_is_not_prime_is_rejected(capsys, argv, prime):
+    code, out = run(capsys, *argv, "--p", prime)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["code"] == "unsupported-field"
+    assert payload["message"] == f"modulus {prime} is not prime"

@@ -13,7 +13,7 @@ from syzkit.errors import CertificateError, UnsupportedFieldError
 from syzkit.fields import GF, QQ
 from syzkit.linalg import (CERT_PRIME, Matrix, Span, fit_hilbert_polynomial,
                            primitive_integers, random_int_matrix, random_matrix,
-                           rank_at_least)
+                           rank_at_least, rank_reaches)
 
 
 def test_identity_rank_and_kernel():
@@ -359,3 +359,145 @@ def test_span_over_q_keeps_primitive_integer_rows():
     rows = [[0, 4, 3, -4], [1, 2, 0, -4], [-2, -1, 1, -2], [-5, -4, 2, 0]]
     assert [span.add([Fraction(c) for c in r]) for r in rows] \
         == [True, True, True, False]
+
+
+# -- packed F_p rows -----------------------------------------------------------
+
+PRIMES = (2, 3, 7, 32003, 2 ** 31 - 1, 2 ** 61 - 1, 2 ** 127 - 1)
+
+
+def _raw_rows(rng, p, nr, nc):
+    """nr integer rows of width nc, neither reduced mod p nor nonnegative,
+    with zero rows, duplicate rows (up to a multiple of p) and combinations
+    of earlier rows mixed in."""
+    rows = []
+    for _ in range(nr):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([0] * nc)
+        elif kind < 0.2 and rows:
+            rows.append([c + p * rng.randrange(-2, 3) for c in rng.choice(rows)])
+        elif kind < 0.4 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            s, t = rng.randrange(-p, 2 * p), rng.randrange(-p, 2 * p)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        elif kind < 0.5:
+            rows.append([rng.choice((0, 0, p - 1, -1)) for _ in range(nc)])
+        else:
+            rows.append([rng.randrange(-3 * p, 3 * p) for _ in range(nc)])
+    return rows
+
+
+def _dense_rank(p, rows):
+    """The rank from the reduced echelon form mod p."""
+    m = Matrix(GF(p), rows)
+    return m._echelon_fp([[c % p for c in r] for r in rows])[0]
+
+
+@pytest.mark.parametrize("p", PRIMES, ids=str)
+def test_packed_span_and_ranks_match_the_dense_echelon(p):
+    field = GF(p)
+    rng = random.Random(f"packed:{p}")
+    shapes = [(rng.randrange(1, 6), rng.randrange(6, 14)) for _ in range(10)]
+    shapes += [(rng.randrange(6, 14), rng.randrange(1, 6)) for _ in range(10)]
+    shapes += [(k, k) for k in (1, 2, 5, 9, 12)]
+    for nr, nc in shapes:
+        rows = _raw_rows(rng, p, nr, nc)
+        exact = _dense_rank(p, rows)
+        span = Span(field)
+        grew = [span.add(r) for r in rows]
+        assert sum(grew) == len(span.rows) == len(span.pivots) == exact
+        for i, (row, piv) in enumerate(zip(span.rows, span.pivots)):
+            assert all(0 <= c < p for c in row)
+            assert row[piv] == 1 and not any(row[:piv])
+            assert all(row[q] == 0 for q in span.pivots[:i])
+        # each accepted row raised the rank of the prefix, each rejected one not
+        for i, g in enumerate(grew):
+            assert g == (_dense_rank(p, rows[:i + 1]) > _dense_rank(p, rows[:i]))
+        assert Matrix(field, rows).rank() == exact
+        for target in range(nr + 2):
+            assert rank_reaches(field, rows, target) == (exact >= target)
+        assert rank_at_least(field, rows, min(nr, nc)) == exact
+
+
+def test_packed_slots_do_not_carry_with_200_stored_rows():
+    # every slot gains up to (p-1)^2 per stored row: the worst growth the
+    # width bound allows for, with entries and multipliers near p
+    p = 2 ** 127 - 1
+    nc, stored = 230, 200
+    rng = random.Random("slot-stress")
+    base = [[rng.choice((p - 1, p - 2, rng.randrange(p))) for _ in range(nc)]
+            for _ in range(stored)]
+    span = Span(GF(p))
+    assert all(span.add(r) for r in base)
+    assert len(span.rows) == stored
+    for i, (row, piv) in enumerate(zip(span.rows, span.pivots)):
+        assert row[piv] == 1 and all(row[q] == 0 for q in span.pivots[:i])
+    # combinations of the stored rows reduce to zero, unit vectors off the
+    # pivots do not
+    for _ in range(20):
+        coeffs = [rng.choice((p - 1, rng.randrange(p))) for _ in range(stored)]
+        combo = [sum(c * r[j] for c, r in zip(coeffs, base)) for j in range(nc)]
+        assert not span.add(combo)
+    free = [j for j in range(nc) if j not in set(span.pivots)]
+    assert len(free) == nc - stored
+    assert span.add([int(j == free[-1]) for j in range(nc)])
+    assert len(span.rows) == stored + 1
+    # the slot width was fixed for nc columns
+    with pytest.raises(ValueError, match="ragged"):
+        span.add([1] * (nc + 1))
+
+
+def test_rank_reaches_stops_as_soon_as_the_answer_is_known(monkeypatch):
+    calls = []
+    add = Span.add
+
+    def spy(self, vec):
+        calls.append(list(vec))
+        return add(self, vec)
+
+    monkeypatch.setattr(Span, "add", spy)
+    field = GF(7)
+    # fewer rows than the target: no row is reduced
+    assert not rank_reaches(field, [[1, 0, 0], [0, 1, 0]], 3)
+    assert calls == []
+    # after three zero rows, two rows left cannot bring the rank to 3
+    assert not rank_reaches(field, [[0, 0, 0]] * 5, 3)
+    assert len(calls) == 3
+    # the target is reached by the third row; the rest are never looked at
+    calls.clear()
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]] + [[1, 2, 3]] * 4
+    assert rank_reaches(field, rows, 3)
+    assert len(calls) == 3
+    # over Q too: a zero target holds and too few rows miss, unreduced
+    calls.clear()
+    assert rank_reaches(QQ, [], 0)
+    assert not rank_reaches(QQ, [[Fraction(1), Fraction(1)]], 2)
+    assert calls == []
+
+
+def test_packed_rank_matches_sympy_property():
+    pytest.importorskip("sympy")
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from sympy.polys.domains import GF as SymGF
+    from sympy.polys.matrices import DomainMatrix
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from(PRIMES), st.integers(1, 7), st.integers(1, 7),
+               st.data())
+    def check(p, nr, nc, data):
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-2 * p, 2 * p), min_size=nc, max_size=nc),
+            min_size=nr, max_size=nr))
+        dom = SymGF(p)
+        expected = DomainMatrix([[dom(c % p) for c in r] for r in rows],
+                                (nr, nc), dom).rank()
+        field = GF(p)
+        assert Matrix(field, rows).rank() == expected
+        span = Span(field)
+        assert sum(span.add(r) for r in rows) == expected
+        assert rank_reaches(field, rows, expected)
+        assert not rank_reaches(field, rows, expected + 1)
+
+    check()

@@ -5,7 +5,9 @@ from math import comb
 
 import pytest
 
-from syzkit.errors import HomogeneityError, ParseError, RingMismatchError
+import syzkit.polyring as polyring
+from syzkit.errors import (CertificateError, HomogeneityError, ParseError,
+                           RingMismatchError)
 from syzkit.fields import GF, QQ
 from syzkit.polyring import (GradedPoly, PolyRing, graded_piece_dim,
                              grevlex_key, piece_multiples, span_dim)
@@ -139,3 +141,12 @@ def test_lex_order_available():
     assert mons[0] == (2, 0, 0)
     with pytest.raises(ParseError):
         PolyRing(QQ, 3, order="weird")
+
+
+def test_monomial_count_is_checked_against_the_piece_dimension(monkeypatch):
+    short = list(polyring._compositions(2, 3))[1:]
+    monkeypatch.setattr(polyring, "_compositions", lambda d, n: short)
+    ring = PolyRing(QQ, 3)
+    with pytest.raises(CertificateError, match="monomial count") as exc:
+        ring.monomials_of_degree(2)
+    assert exc.value.details == {"degree": 2, "count": 5}

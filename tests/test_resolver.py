@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,10 +15,11 @@ from syzkit.errors import (CertificateError, GenericityError, InputError,
 from syzkit.fields import GF, QQ
 from syzkit.groebner import (FreeModule, Ideal, Submodule, Vec, syzygies,
                              vecs_from_polys)
-from syzkit.linalg import Matrix
+from syzkit.linalg import Matrix, rank_reaches
 from syzkit.polyring import PolyRing
-from syzkit.resolver import (_chern_inverse, _gradient_rank_at, build_chain,
-                             build_surface_kernel, chain_character_residual,
+from syzkit.resolver import (_chern_inverse, _gradient_rank_at, _gradient_rows,
+                             build_chain, build_surface_kernel,
+                             chain_character_residual,
                              check_generation, genericity_experiment,
                              hoppe_stage, ideal_piece_basis,
                              stage_kernel_generators, uniformity_experiment)
@@ -108,6 +110,10 @@ def test_integer_jacobian_rank_matches_field_jacobian(field):
             continue
         rank = _gradient_rank_at(ring, polys, point)
         assert rank == _field_jacobian_rank(ring, polys, point)
+        # the screen's question, answered mod p first
+        rows = _gradient_rows(ring, polys, point)
+        for target in range(n + 1):
+            assert rank_reaches(field, rows, target) == (rank >= target)
         ranks.add(rank)
     assert {0, 1, 2, 3} <= ranks
 
@@ -480,7 +486,10 @@ def test_whitney_inverse_rejects_a_non_integral_class():
 def test_fiber_witness_contradicting_piece_equality_is_rejected(monkeypatch):
     z, _ = three_points()
     v = [z.ring.parse(s) for s in ("x0*x1", "x0*x2", "x1*x2")]
-    monkeypatch.setattr(resolver, "_gradient_rank_at", lambda *args: 0)
+    # a zero Jacobian at every point: the screen finds a witness of rank 0
+    monkeypatch.setattr(resolver, "_gradient_rows",
+                        lambda ring, polys, point: [[0] * ring.num_vars
+                                                    for _ in polys])
     with pytest.raises(CertificateError, match="fiber witness"):
         check_generation(v, z.ideal, points=z.points)
 
@@ -520,6 +529,35 @@ def test_uniformity_below_threshold_is_uniform():
         uniformity_experiment(3, 0, num_points=3, seed=0)
     assert exc.value.payload()["details"] == {"m": "0", "minimal_m": "1",
                                               "points": "3"}
+
+
+def _fake_stage(dim_v):
+    chern = SimpleNamespace(total=SimpleNamespace(l_ints=lambda: [1, -3, 8]))
+    return SimpleNamespace(dim_v=dim_v, rank=dim_v - 1, chern=chern)
+
+
+def test_uniformity_rejects_a_mixed_threshold_outcome(monkeypatch):
+    calls = []
+
+    def build(z, pol, **kwargs):
+        calls.append(kwargs["seed"])
+        if len(calls) == 2:
+            raise ThresholdError("below threshold", m=1)
+        return _fake_stage(9)
+
+    monkeypatch.setattr(resolver, "build_surface_kernel", build)
+    with pytest.raises(CertificateError, match="not uniform") as exc:
+        uniformity_experiment(3, 1, num_points=3, seed=0)
+    assert exc.value.details == {"failed": 1, "points": 3}
+    assert calls == ["0:0", "0:1", "0:2"]
+
+
+def test_uniformity_rejects_differing_invariants(monkeypatch):
+    dims = iter((9, 9, 10))
+    monkeypatch.setattr(resolver, "build_surface_kernel",
+                        lambda z, pol, **kwargs: _fake_stage(next(dims)))
+    with pytest.raises(CertificateError, match="invariants differ"):
+        uniformity_experiment(3, 1, num_points=3, seed=0)
 
 
 def test_kernel_generators_reject_non_integer_coordinates(monkeypatch):
