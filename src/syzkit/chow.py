@@ -9,6 +9,7 @@ values print in H = dL.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from .errors import CertificateError, CoprimalityError, InputError
@@ -219,8 +220,10 @@ def c_from_ch(ch):
     return ChernVector(int(rank), total)
 
 
+@lru_cache(maxsize=None)
 def todd(n, scale=1):
-    """Todd class of P^n: (L / (1 - e^{-L}))^{n+1} truncated."""
+    """Todd class of P^n: (L / (1 - e^{-L}))^{n+1} truncated (computed once
+    per argument; a ChowClass is never mutated)."""
     d = [Fraction((-1) ** k, factorial(k + 1)) for k in range(n + 1)]
     q = [Fraction(1)] + [Fraction(0)] * n
     for m in range(1, n + 1):
@@ -242,12 +245,12 @@ def chi_of_twist(ch, k):
     return euler_characteristic(ch * exp_class(ch.n, k, ch.scale))
 
 
-def ch_from_chi_values(n, values, scale=1, verify=None):
-    """Chern character from exact Euler characteristics chi(F(kL)) at
-    k = 0..n; the system is triangular in total degree so the solution is
-    unique.  Optional verify: extra (k, chi) pairs asserted afterwards."""
+@lru_cache(maxsize=None)
+def _chi_system(n):
+    """The matrix of chi(F(k)) = sum_j ch_j * g_j(k) for k, j = 0..n, with
+    g_j(k) = sum_s td_{n-j-s} k^s / s! (computed once per n; Matrix.solve
+    does not mutate it)."""
     td = todd(n)
-    # chi(F(k)) = sum_j ch_j * g_j(k), g_j(k) = sum_s td_{n-j-s} k^s / s!
     rows = []
     for k in range(n + 1):
         row = []
@@ -257,7 +260,14 @@ def ch_from_chi_values(n, values, scale=1, verify=None):
                 acc += td.coeffs[n - j - s] * Fraction(k) ** s / factorial(s)
             row.append(acc)
         rows.append(row)
-    sol = Matrix(QQ, rows).solve([Fraction(v) for v in values])
+    return Matrix(QQ, rows)
+
+
+def ch_from_chi_values(n, values, scale=1, verify=None):
+    """Chern character from exact Euler characteristics chi(F(kL)) at
+    k = 0..n; the system is triangular in total degree so the solution is
+    unique.  Optional verify: extra (k, chi) pairs asserted afterwards."""
+    sol = _chi_system(n).solve([Fraction(v) for v in values])
     assert sol is not None
     ch = ChowClass(n, sol, scale)
     if verify:
@@ -298,9 +308,7 @@ class KClass:
     @classmethod
     def of_line_bundle(cls, n, t):
         """[O(tL)] on P^n."""
-        vals = [gbinom(k + t + n, n) for k in range(n + 4)]
-        assert all(v.denominator == 1 for v in vals)
-        return cls.from_chi(n, [int(v) for v in vals])
+        return _line_bundle_class(n, t)
 
     def chi(self, k):
         v = kclass_chi(self.coeffs, k)
@@ -333,6 +341,15 @@ class KClass:
 
     def __repr__(self):
         return f"KClass(n={self.n}, coeffs={self.coeffs})"
+
+
+@lru_cache(maxsize=None)
+def _line_bundle_class(n, t):
+    """[O(tL)] on P^n, computed once per argument (a KClass is never
+    mutated)."""
+    vals = [gbinom(k + t + n, n) for k in range(n + 4)]
+    assert all(v.denominator == 1 for v in vals)
+    return KClass.from_chi(n, [int(v) for v in vals])
 
 
 def ch_ideal_sheaf(n, quotient_hp, scale=1):

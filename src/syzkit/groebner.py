@@ -7,16 +7,33 @@ the module order is position-over-term (lower component index dominates),
 induced from the ring order.  Syzygies are computed by the tag-block
 elimination: append a unit tag component per generator and intersect the
 Groebner basis with the tag block.
+
+Inside this layer an element is a dict {(comp, exps): int} of integer
+terms: primitive integers over Q, residues in [0, p) over F_p, so one
+reduction loop serves both fields and no Fraction is formed.  The loop
+takes the next term off a heap, keyed once per term by the ring's
+descending key.  Over Q a reducer g with leading coefficient lc clears a
+term with coefficient c by pseudo-division: with q = gcd(c, lc) the
+remainder is scaled by lc/q and (c/q)*x^u*g is subtracted.  Over F_p the
+reducers are stored monic and c*x^u*g is subtracted mod p.  A normal form
+is therefore the remainder up to a nonzero scalar, which is all its callers
+read: they test it for zero or rescale it.  Fractions are built only where
+a Vec leaves the layer.
+
+An ideal over Q answers emptiness and dimension questions first from one
+Groebner basis mod CERT_PRIME of its primitive integer generators, and
+computes the basis over Q only when that misses (Ideal.is_projectively_empty
+gives the proof).
 """
 
 import heapq
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from .errors import (BudgetError, CertificateError, HomogeneityError,
                      NonMinimalError, RingMismatchError)
-from .fields import PrimeField
-from .linalg import Span, fit_hilbert_polynomial, primitive_integers
+from .fields import GF, QQ, PrimeField
+from .linalg import CERT_PRIME, Span, fit_hilbert_polynomial, primitive_integers
 from .polyring import GradedPoly, piece_multiples
 
 
@@ -97,7 +114,8 @@ class Vec:
                    self._degree)
 
     def __add__(self, other):
-        assert self.free == other.free
+        if self.free != other.free:
+            raise RingMismatchError("module elements from different free modules")
         f = self.free.ring.field
         out = dict(self.terms)
         for t, c in other.terms.items():
@@ -170,111 +188,176 @@ def vecs_from_polys(ring, polys):
     return free, [poly_to_vec(free, 0, p) for p in polys if not p.is_zero()]
 
 
-def _normalize(vec):
-    """Monic over F_p; primitive integer coefficients with positive leading
-    coefficient over Q (tames growth inside Buchberger)."""
-    if vec.is_zero():
-        return vec
-    f = vec.free.ring.field
-    if isinstance(f, PrimeField):
-        _, _, lc = vec.lead()
-        return vec.scale(f.inv(lc))
-    ints = primitive_integers(list(vec.terms.values()))
-    _, _, lc = vec.lead()
-    if lc < 0:
-        ints = [-c for c in ints]
-    return Vec(vec.free, {t: Fraction(c) for t, c in zip(vec.terms, ints)},
-               vec.degree)
+# -- integer terms -----------------------------------------------------------
+
+
+def _modulus(field):
+    """p over F_p, None over Q: what the integer terms are taken modulo."""
+    return field.p if isinstance(field, PrimeField) else None
+
+
+def _int_terms(vec, p):
+    """vec's terms as ints: residues over F_p, primitive integers over Q."""
+    if p is not None:
+        return dict(vec.terms)
+    return dict(zip(vec.terms, primitive_integers(list(vec.terms.values()))))
+
+
+def _to_vec(free, terms, p, lc=1, degree=None):
+    """Integer terms divided by lc, as a Vec over the ring's field."""
+    if p is None:
+        return Vec(free, {t: Fraction(c, lc) for t, c in terms.items()}, degree)
+    if lc != 1:
+        inv = pow(lc, -1, p)
+        terms = {t: c * inv % p for t, c in terms.items()}
+    return Vec(free, terms, degree)
+
+
+def _lead(terms, desc):
+    """The leading term: lowest component, then largest monomial."""
+    return min(terms, key=lambda t: (t[0], desc(t[1])))
+
+
+def _normalize(terms, p, desc):
+    """Scale integer terms in place: monic over F_p; primitive with a
+    positive leading coefficient over Q (tames growth inside Buchberger).
+    Returns the leading term."""
+    lead = _lead(terms, desc)
+    c = terms[lead]
+    if p is not None:
+        if c != 1:
+            inv = pow(c, -1, p)
+            for t in terms:
+                terms[t] = terms[t] * inv % p
+        return lead
+    g = gcd(*terms.values())
+    if c < 0:
+        g = -g
+    if g != 1:
+        for t in terms:
+            terms[t] //= g
+    return lead
 
 
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-class _BasisIndex:
-    """Leads of the working basis grouped by component."""
+class _Reducers:
+    """Normalized reducers (lead exps, lead coefficient, tail terms) grouped
+    by the component of their lead, searched in the order they were added."""
 
-    def __init__(self):
+    def __init__(self, p):
+        self.p = p
         self.by_comp = {}
 
-    def add(self, idx, vec):
-        comp, exps, coeff = vec.lead()
-        self.by_comp.setdefault(comp, []).append((exps, coeff, idx, vec))
+    def add(self, terms, lead):
+        tail = [(t, c) for t, c in terms.items() if t != lead]
+        self.by_comp.setdefault(lead[0], []).append((lead[1], terms[lead], tail))
 
-    def find_reducer(self, comp, exps):
-        for le, lc, idx, vec in self.by_comp.get(comp, ()):
-            if _divides(le, exps):
-                return le, lc, vec
+    def without(self, lead):
+        """The same reducers less the one with this lead."""
+        out = _Reducers(self.p)
+        out.by_comp = dict(self.by_comp)
+        out.by_comp[lead[0]] = [r for r in self.by_comp[lead[0]] if r[0] != lead[1]]
+        return out
+
+    def find(self, comp, exps):
+        for red in self.by_comp.get(comp, ()):
+            if all(x <= y for x, y in zip(red[0], exps)):
+                return red
         return None
 
 
-def normal_form(vec, basis):
-    """Full normal form of vec against a list of module elements."""
-    if vec.is_zero():
-        return vec
-    idx = _BasisIndex()
-    for i, g in enumerate(basis):
-        if not g.is_zero():
-            idx.add(i, g)
-    return _reduce_full(vec, idx)
-
-
-def _reduce_full(vec, idx):
-    free = vec.free
-    f = free.ring.field
-    rk = free.ring.key
-    work = dict(vec.terms)
+def _reduce_full(work, reducers, desc):
+    """Full normal form of the integer terms work (consumed) by the
+    reducers, up to a nonzero scalar.  The remainder's terms come back in
+    descending order, so its first key is its lead."""
+    p = reducers.p
+    heap = [(comp, desc(e), e) for comp, e in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     out = {}
-    while work:
-        t = max(work, key=lambda s: (-s[0], rk(s[1])))
-        comp, exps = t
-        c = work.pop(t)
-        if f.is_zero(c):
-            continue
-        red = idx.find_reducer(comp, exps)
+    while heap:
+        comp, _, exps = pop(heap)
+        t = (comp, exps)
+        c = work.pop(t, 0)
+        if not c:
+            continue  # cancelled, or a second heap entry of a re-added term
+        red = reducers.find(comp, exps)
         if red is None:
             out[t] = c
             continue
-        le, lc, g = red
+        le, lc, tail = red
+        if p is None:
+            q = gcd(c, lc)
+            m, c = lc // q, c // q
+            if m != 1:
+                for s in work:
+                    work[s] *= m
+                for s in out:
+                    out[s] *= m
         u = tuple(a - b for a, b in zip(exps, le))
-        factor = f.div(c, lc)
-        for (gc, ge), gv in g.terms.items():
-            if gc == comp and ge == le:
+        for (gc, ge), gv in tail:
+            e = tuple(a + b for a, b in zip(ge, u))
+            s = (gc, e)
+            cur = work.get(s)
+            if cur is None:
+                work[s] = -c * gv if p is None else -c * gv % p
+                push(heap, (gc, desc(e), e))
                 continue
-            t2 = (gc, tuple(a + b for a, b in zip(ge, u)))
-            cur = work.get(t2, f.zero)
-            nxt = f.sub(cur, f.mul(factor, gv))
-            if f.is_zero(nxt):
-                work.pop(t2, None)
+            nxt = cur - c * gv if p is None else (cur - c * gv) % p
+            if nxt:
+                work[s] = nxt
             else:
-                work[t2] = nxt
-    return Vec(free, out, vec.degree)
+                del work[s]
+    return out
 
 
-def buchberger(vecs):
-    """Groebner basis of the submodule generated by vecs (normal selection,
-    product criterion for rank-1 input, chain criterion always)."""
-    vecs = [v for v in vecs if not v.is_zero()]
-    if not vecs:
-        return []
-    free = vecs[0].free
-    for v in vecs:
-        if v.free != free:
-            raise RingMismatchError("module elements from different free modules")
+def _interreduce(free, elems, p):
+    """The integer elements in echelon form degree by degree (one Span per
+    degree holding two or more): the same submodule from fewer elements
+    with distinct leads in each degree.  Only for callers that read a
+    reduced basis or leads; never for syzygies, whose tag components index
+    the input elements."""
+    by_deg = {}
+    for terms in elems:
+        comp, e = next(iter(terms))
+        by_deg.setdefault(sum(e) + free.shifts[comp], []).append(terms)
+    out = []
+    for d in sorted(by_deg):
+        group = by_deg[d]
+        if len(group) > 1:
+            basis = free.piece_basis(d)
+            index = {t: i for i, t in enumerate(basis)}
+            span = Span(QQ if p is None else GF(p))
+            for terms in group:
+                row = [0] * len(basis)
+                for t, c in terms.items():
+                    row[index[t]] = c
+                span.add(row)
+            group = [{basis[i]: c for i, c in enumerate(row) if c}
+                     for row in span.rows]
+        out += group
+    return out
+
+
+def _groebner(free, elems, p):
+    """Groebner basis of nonzero integer elements, normalized in place
+    (normal selection, product criterion for rank-1 input, chain criterion
+    always).  Each S-polynomial is built in integers and its remainder
+    normalized as the elements are, so the basis does not depend on the
+    field's representation."""
     ring = free.ring
-    f = ring.field
+    desc = ring.descending_key
     rank_one = free.rank == 1
-    basis = []
+    basis = list(elems)
     leads = []
-    for v in vecs:
-        nv = _normalize(v)
-        if not nv.is_zero():
-            basis.append(nv)
-            leads.append(nv.lead())
-
-    idx = _BasisIndex()
-    for t, g in enumerate(basis):
-        idx.add(t, g)
+    reducers = _Reducers(p)
+    for terms in basis:
+        lead = _normalize(terms, p, desc)
+        leads.append((lead[0], lead[1], terms[lead]))
+        reducers.add(terms, lead)
 
     pending = set()
     heap = []
@@ -316,17 +399,73 @@ def buchberger(vecs):
                 break
         if skip:
             continue
+        # (lc_j/g)*x^{u_i}*f_i - (lc_i/g)*x^{u_j}*f_j with g = gcd(lc_i, lc_j)
         ui = tuple(a - b for a, b in zip(lcm, ei))
         uj = tuple(a - b for a, b in zip(lcm, ej))
-        spoly = basis[i].mul_monomial(ui, lcj) - basis[j].mul_monomial(uj, lci)
-        rem = _normalize(_reduce_full(spoly, idx))
-        if rem.is_zero():
+        g = gcd(lci, lcj)
+        ai, aj = lcj // g, lci // g
+        work = {(c, tuple(a + b for a, b in zip(e, ui))): ai * v
+                for (c, e), v in basis[i].items()}
+        for (c, e), v in basis[j].items():
+            t = (c, tuple(a + b for a, b in zip(e, uj)))
+            nxt = work.get(t, 0) - aj * v
+            if p is not None:
+                nxt %= p
+            if nxt:
+                work[t] = nxt
+            else:
+                work.pop(t, None)
+        rem = _reduce_full(work, reducers, desc)
+        if not rem:
             continue
+        lead = _normalize(rem, p, desc)
         basis.append(rem)
-        leads.append(rem.lead())
-        idx.add(len(basis) - 1, rem)
+        leads.append((lead[0], lead[1], rem[lead]))
+        reducers.add(rem, lead)
         push_pairs(len(basis) - 1)
     return basis
+
+
+def normal_form(vec, basis):
+    """Full normal form of vec against a list of module elements, up to a
+    nonzero scalar: callers test it for zero or rescale it."""
+    if vec.is_zero():
+        return vec
+    free = vec.free
+    p = _modulus(free.ring.field)
+    desc = free.ring.descending_key
+    rem = _reduce_full(_int_terms(vec, p), _reducers_of(basis, p, desc), desc)
+    return _to_vec(free, rem, p, degree=vec.degree)
+
+
+def _reducers_of(vecs, p, desc):
+    """The nonzero vecs as reducers."""
+    reducers = _Reducers(p)
+    for v in vecs:
+        if not v.is_zero():
+            terms = _int_terms(v, p)
+            reducers.add(terms, _normalize(terms, p, desc))
+    return reducers
+
+
+def buchberger(vecs, interreduce=False):
+    """Groebner basis of the submodule generated by vecs (normal selection,
+    product criterion for rank-1 input, chain criterion always).  With
+    interreduce the input is first put in echelon form degree by degree,
+    which keeps the submodule but not the correspondence of basis elements
+    to the input."""
+    vecs = [v for v in vecs if not v.is_zero()]
+    if not vecs:
+        return []
+    free = vecs[0].free
+    for v in vecs:
+        if v.free != free:
+            raise RingMismatchError("module elements from different free modules")
+    p = _modulus(free.ring.field)
+    elems = [_int_terms(v, p) for v in vecs]
+    if interreduce:
+        elems = _interreduce(free, elems, p)
+    return [_to_vec(free, t, p) for t in _groebner(free, elems, p)]
 
 
 def reduced_basis(gb):
@@ -335,31 +474,30 @@ def reduced_basis(gb):
     gb = [g for g in gb if not g.is_zero()]
     if not gb:
         return []
-    ring = gb[0].free.ring
-    f = ring.field
+    free = gb[0].free
+    p = _modulus(free.ring.field)
+    desc = free.ring.descending_key
+    elems = [_int_terms(g, p) for g in gb]
+    leads = [_normalize(t, p, desc) for t in elems]
     keep = []
-    for i, g in enumerate(gb):
-        ci, ei, _ = g.lead()
-        dominated = False
-        for j, h in enumerate(gb):
-            if i == j:
-                continue
-            cj, ej, _ = h.lead()
-            if cj == ci and _divides(ej, ei) and (ej != ei or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(g)
+    for i, (ci, ei) in enumerate(leads):
+        if not any(cj == ci and _divides(ej, ei) and (ej != ei or j < i)
+                   for j, (cj, ej) in enumerate(leads) if j != i):
+            keep.append(i)
+    reducers = _Reducers(p)
+    for i in keep:
+        reducers.add(elems[i], leads[i])
     out = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1:]
-        r = normal_form(g, others)
-        assert not r.is_zero()  # lead survives tail reduction
-        _, _, lc = r.lead()
-        out.append(r.scale(f.inv(lc)))
-    rk = ring.key
-    out.sort(key=lambda v: (-v.lead()[0], rk(v.lead()[1])), reverse=True)
-    return out
+    for i in keep:
+        r = _reduce_full(dict(elems[i]), reducers.without(leads[i]), desc)
+        comp, exps = leads[i]
+        if not r or next(iter(r)) != (comp, exps):
+            raise CertificateError("lead does not survive tail reduction",
+                                   lead=exps)
+        out.append(((comp, desc(exps)),
+                    _to_vec(free, r, p, r[comp, exps], gb[i].degree)))
+    out.sort(key=lambda kv: kv[0])
+    return [v for _, v in out]
 
 
 def syzygies(vecs):
@@ -408,18 +546,22 @@ def submodule_piece_dims(gb_leads, free, d):
 
 
 class Submodule:
-    """Submodule of a shifted free module with cached Groebner data."""
+    """Submodule of a shifted free module with cached Groebner data: the
+    reduced basis, its leads, the staircase piece dimensions, and one
+    reducer index for every contains."""
 
     def __init__(self, free, gens):
         self.free = free
         self.gens = [g for g in gens if not g.is_zero()]
         self._gb = None
         self._leads = None
+        self._reducers = None
+        self._dims = {}
 
     @property
     def gb(self):
         if self._gb is None:
-            self._gb = reduced_basis(buchberger(self.gens))
+            self._gb = reduced_basis(buchberger(self.gens, interreduce=True))
         return self._gb
 
     def gb_leads(self):
@@ -428,7 +570,13 @@ class Submodule:
         return self._leads
 
     def contains(self, vec):
-        return normal_form(vec, self.gb).is_zero()
+        if vec.is_zero():
+            return True
+        p = _modulus(self.free.ring.field)
+        desc = self.free.ring.descending_key
+        if self._reducers is None:
+            self._reducers = _reducers_of(self.gb, p, desc)
+        return not _reduce_full(_int_terms(vec, p), self._reducers, desc)
 
     def equals(self, other):
         if self.free != other.free:
@@ -436,11 +584,16 @@ class Submodule:
         a, b = self.gb, other.gb
         return len(a) == len(b) and all(x == y for x, y in zip(a, b))
 
+    def _piece_dims(self, d):
+        if d not in self._dims:
+            self._dims[d] = submodule_piece_dims(self.gb_leads(), self.free, d)
+        return self._dims[d]
+
     def quotient_piece_dim(self, d):
-        return submodule_piece_dims(self.gb_leads(), self.free, d)[0]
+        return self._piece_dims(d)[0]
 
     def piece_dim(self, d):
-        return submodule_piece_dims(self.gb_leads(), self.free, d)[1]
+        return self._piece_dims(d)[1]
 
 
 # -- minimal generators and resolutions ------------------------------------
@@ -522,7 +675,9 @@ class PolyMatrix:
 
     def compose(self, other):
         """self * other (apply other first)."""
-        assert other.row_shifts == self.col_shifts
+        if other.row_shifts != self.col_shifts:
+            raise HomogeneityError("composed maps disagree on the middle shifts",
+                                   left=self.col_shifts, right=other.row_shifts)
         ring = self.ring
         out = []
         for i in range(self.nrows):
@@ -560,8 +715,10 @@ class Resolution:
     def __init__(self, ambient, maps):
         self.ambient = ambient
         self.maps = maps
-        for a, b in zip(maps, maps[1:]):
-            assert a.compose(b).is_zero()  # consecutive maps compose to zero
+        for i, (a, b) in enumerate(zip(maps, maps[1:])):
+            if not a.compose(b).is_zero():
+                raise CertificateError("consecutive maps do not compose to zero",
+                                       level=i + 1)
 
     @property
     def length(self):
@@ -622,13 +779,39 @@ def minimal_free_resolution(free, gens, max_length=None):
         ambient = FreeModule(ring, tuple(v.degree for v in current))
         current = [v for v in nxt]
         level += 1
-        assert level <= cap + 1, "resolution exceeds the syzygy-theorem bound"
+        if level > cap + 1:
+            raise CertificateError("resolution exceeds the syzygy-theorem bound",
+                                   level=level, cap=cap)
     res = Resolution(free, maps)
-    assert res.length <= ring.num_vars
+    if res.length > ring.num_vars:
+        raise CertificateError("resolution is longer than the number of "
+                               "variables", length=res.length)
     return res
 
 
 # -- ideals -----------------------------------------------------------------
+
+
+def _covers_every_variable(leads, n):
+    """Do the leads hold a unit or a pure power of each of the n variables?"""
+    if any(sum(e) == 0 for e in leads):
+        return True
+    return all(any(sum(e) == e[i] > 0 for e in leads) for i in range(n))
+
+
+def _staircase_dim(leads, n):
+    """Affine Krull dimension of R/J for the monomial ideal J the leads
+    generate: the largest set of variables no lead lives in; -1 for the
+    unit ideal."""
+    if any(sum(e) == 0 for e in leads):
+        return -1
+    best = 0
+    for mask in range(1 << n):
+        sset = {i for i in range(n) if mask >> i & 1}
+        if any(all(e[i] == 0 or i in sset for i in range(n)) for e in leads):
+            continue
+        best = max(best, len(sset))
+    return best
 
 
 class Ideal:
@@ -644,6 +827,7 @@ class Ideal:
         self._sub = Submodule(self._free, self._vecs)
         self._gb = None
         self._resolution = None
+        self._leads_p = None
 
     @property
     def gb(self):
@@ -659,11 +843,6 @@ class Ideal:
         if poly.is_zero():
             return True
         return self._sub.contains(poly_to_vec(self._free, 0, poly))
-
-    def normal_form(self, poly):
-        if poly.is_zero():
-            return poly
-        return normal_form(poly_to_vec(self._free, 0, poly), self._sub.gb).component(0)
 
     def equals(self, other):
         return self.ring == other.ring and self._sub.equals(other._sub)
@@ -704,29 +883,56 @@ class Ideal:
             return 0
         return self.resolution().regularity()
 
+    def _mod_p_leads(self):
+        """Over Q: the leads of one (unreduced) Groebner basis mod
+        CERT_PRIME of the primitive integer generators, cached.  None over
+        F_p, where the basis itself is as cheap, and once the basis over Q
+        is known."""
+        if isinstance(self.ring.field, PrimeField) or self._sub._gb is not None:
+            return None
+        if self._leads_p is None:
+            p = CERT_PRIME
+            elems = []
+            for v in self._vecs:
+                terms = {t: c % p for t, c in _int_terms(v, None).items() if c % p}
+                if terms:
+                    elems.append(terms)
+            desc = self.ring.descending_key
+            gb = _groebner(self._free, _interreduce(self._free, elems, p), p)
+            self._leads_p = [_lead(t, desc)[1] for t in gb]
+        return self._leads_p
+
     def is_projectively_empty(self):
-        """True iff the vanishing locus in P^n is empty (the initial ideal
-        contains a pure power of every variable)."""
-        leads = self.gb_leads()
-        if any(sum(e) == 0 for e in leads):
-            return True
+        """True iff the vanishing locus in P^n is empty: the initial ideal
+        contains a pure power of every variable.
+
+        Over Q the leads mod CERT_PRIME are read first.  The degree-N piece
+        of I, and of the ideal I_p of the primitive integer generators mod
+        p, is the row space of one integer matrix of degree-N multiples,
+        whose rank mod p is at most its rank over Q; so HF_{R/I}(N) <=
+        HF_{R/I_p}(N) for every N.  Pure powers of every variable among the
+        leads mod p make HF_{R/I_p}, hence HF_{R/I}, vanish in high degree:
+        the locus is empty.  Only a miss computes the basis over Q."""
         n = self.ring.num_vars
-        return all(any(sum(e) == e[i] > 0 for e in leads) for i in range(n))
+        leads = self._mod_p_leads()
+        if leads is not None and _covers_every_variable(leads, n):
+            return True
+        return _covers_every_variable(self.gb_leads(), n)
 
     def krull_dim_quotient(self):
         """Affine Krull dimension of R/I (via the initial-ideal staircase);
         -1 for the unit ideal."""
-        leads = self.gb_leads()
-        if any(sum(e) == 0 for e in leads):
-            return -1
-        n = self.ring.num_vars
-        best = 0
-        for mask in range(1 << n):
-            sset = {i for i in range(n) if mask >> i & 1}
-            if any(all(e[i] == 0 or i in sset for i in range(n)) for e in leads):
-                continue
-            best = max(best, len(sset))
-        return best
+        return _staircase_dim(self.gb_leads(), self.ring.num_vars)
+
+    def krull_dim_at_most(self, bound):
+        """Is the affine Krull dimension of R/I at most bound?  Over Q a
+        staircase mod CERT_PRIME of dimension <= bound proves it: HF_{R/I}
+        <= HF_{R/I_p} (see is_projectively_empty), so dim R/I <= dim R/I_p.
+        Only a miss computes the basis over Q."""
+        leads = self._mod_p_leads()
+        if leads is not None and _staircase_dim(leads, self.ring.num_vars) <= bound:
+            return True
+        return self.krull_dim_quotient() <= bound
 
     def quotient(self, polys):
         """(I : (f_1..f_k)) = {g : g*f ∈ I for every f}."""

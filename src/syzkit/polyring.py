@@ -26,6 +26,11 @@ def lex_key(exps):
 
 ORDER_KEYS = {"grevlex": grevlex_key, "lex": lex_key}
 
+# the order keys negated entry by entry: the smallest key is the largest
+# monomial, so a min-heap pops terms in descending order
+DESCENDING_KEYS = {"grevlex": lambda e: (-sum(e), e[::-1]),
+                   "lex": lambda e: tuple(-a for a in e)}
+
 
 class PolyRing:
     """k[x0..xn] with a monomial order."""
@@ -37,6 +42,7 @@ class PolyRing:
         self.num_vars = num_vars
         self.order = order
         self.key = ORDER_KEYS[order]
+        self.descending_key = DESCENDING_KEYS[order]
         self._mon_cache = {}
 
     def __eq__(self, other):

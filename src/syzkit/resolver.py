@@ -294,8 +294,11 @@ def _draw_curve_forms(rng, z, d, count, tries=40):
                 continue
         elif not z.ideal.sum(forms).is_projectively_empty():
             continue
-        ci = Ideal(ring, forms)
-        if ci.krull_dim_quotient() != ring.num_vars - count:
+        # Krull's principal ideal theorem gives dim R/(forms) >= n + 1 -
+        # count, so the forms cut a complete intersection iff it is at most
+        # that; a staircase mod p that reaches it is a proof, since
+        # HF_{R/(forms)} <= HF_{R/(forms mod p)} (Ideal.is_projectively_empty)
+        if not Ideal(ring, forms).krull_dim_at_most(ring.num_vars - count):
             continue
         return forms
     raise GenericityError("could not draw a curve avoiding the subscheme",

@@ -9,6 +9,9 @@ from fractions import Fraction
 import pytest
 
 from syzkit.cli import main
+from syzkit.fields import QQ
+from syzkit.polyring import PolyRing
+from syzkit.schemes import points_ideal
 
 
 def run(capsys, *argv):
@@ -214,9 +217,9 @@ def test_unknown_suite_rejected_by_parser():
         main(["resolve", "--builtin", "dodecahedron"])
 
 
-def _random_point_file(seed, n, d, count):
+def _random_points(seed, n, count):
     """count distinct projective points of P^n with integer coordinates in
-    [-9, 9], drawn from the seed, as a subscheme input file."""
+    [-9, 9], drawn from the seed."""
     rng = random.Random(seed)
     seen, pts = set(), []
     while len(pts) < count:
@@ -228,8 +231,23 @@ def _random_point_file(seed, n, d, count):
         if key not in seen:
             seen.add(key)
             pts.append(p)
+    return pts
+
+
+def _random_point_file(seed, n, d, count):
+    """The random points as a subscheme input file."""
     lines = [f"ambient: {n}", f"d: {d}", "points:"]
-    lines += [" ".join(str(c) for c in p) for p in pts]
+    lines += [" ".join(str(c) for c in p) for p in _random_points(seed, n, count)]
+    return "\n".join(lines) + "\n"
+
+
+def _random_ideal_file(seed, n, d, count):
+    """The reduced Groebner basis of the random points' ideal as an input
+    file with an `ideal:` section, which takes the Groebner saturation
+    check instead of the point evaluations."""
+    ring = PolyRing(QQ, n + 1)
+    gb = points_ideal(ring, _random_points(seed, n, count)).gb
+    lines = [f"ambient: {n}", f"d: {d}", "ideal:"] + [g.to_str() for g in gb]
     return "\n".join(lines) + "\n"
 
 
@@ -252,6 +270,31 @@ def test_random_point_set_reports_are_frozen(capsys, monkeypatch, tmp_path,
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     assert elapsed < 15.0
+
+
+# stdout SHA-256 of these resolves, frozen before Groebner bases were
+# computed in integers: an `ideal:` input saturation-checked in Groebner
+# bases (0.8-1.4 s then), and a module-mode Fitting certificate whose
+# Buchberger run took 10-14 s
+@pytest.mark.parametrize("name,text,argv,digest", [
+    ("p2-15-ideal.txt", _random_ideal_file(1, 2, 3, 15), (),
+     "1185a6280515e0a2dfb3cbab4dfa553ed09e267efaf0201f455b4943db758dcf"),
+    ("p2-5-points.txt",
+     "ambient: 2\nd: 2\npoints:\n-2 0 -6\n3 6 -5\n-7 -7 -9\n3 8 0\n-8 -2 7\n",
+     ("--mode", "module"),
+     "6c3950b63454ea2de110b72147499ce5d56ef5cbea6b99717f74989a701edfb8"),
+], ids=["P2-15-points-ideal", "P2-5-points-module"])
+def test_groebner_heavy_reports_are_frozen(capsys, monkeypatch, tmp_path,
+                                           name, text, argv, digest):
+    monkeypatch.delenv("SYZKIT_PRIME", raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    start = time.perf_counter()
+    code, out = run(capsys, "resolve", "--input", name, *argv)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert elapsed < 5.0
 
 
 # stdout SHA-256 of these genericity runs, frozen before the F_p rows were

@@ -1,16 +1,21 @@
 """Groebner bases, syzygies, resolutions, saturation, Hilbert data."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
-from syzkit.errors import BudgetError, NonMinimalError
-from syzkit.fields import QQ
-from syzkit.groebner import (FreeModule, Ideal, PolyMatrix, Submodule, Vec,
-                             buchberger, minimal_free_resolution,
-                             minimal_generators, normal_form, reduced_basis,
-                             syzygies, vecs_from_polys)
+from syzkit import groebner
+from syzkit.errors import (BudgetError, CertificateError, HomogeneityError,
+                           NonMinimalError, RingMismatchError)
+from syzkit.fields import GF, QQ
+from syzkit.groebner import (FreeModule, Ideal, PolyMatrix, Resolution,
+                             Submodule, Vec, buchberger,
+                             minimal_free_resolution, minimal_generators,
+                             normal_form, poly_to_vec, reduced_basis, syzygies,
+                             vecs_from_polys)
+from syzkit.linalg import CERT_PRIME
 from syzkit.polyring import PolyRing, graded_piece_dim
 
 
@@ -333,3 +338,175 @@ def test_minimal_free_resolution_of_module():
     free, vecs = vecs_from_polys(ring, [x, y])
     res = minimal_free_resolution(free, vecs)
     assert res.betti() == {(0, 1): 2, (1, 2): 1}
+
+
+# -- integer reduction, the sympy oracle and the mod-p certificates ---------
+
+
+def _random_gens(rng, ring, count, degrees, coeff):
+    """count homogeneous polynomials with two to four random terms each
+    (fewer where the degree has fewer monomials)."""
+    out = []
+    while len(out) < count:
+        d = rng.choice(degrees)
+        pool = ring.monomials_of_degree(d)
+        mons = rng.sample(pool, min(len(pool), rng.randrange(2, 5)))
+        poly = ring.from_terms({m: ring.field(coeff(rng)) for m in mons},
+                               degree=d)
+        if not poly.is_zero():
+            out.append(poly)
+    return out
+
+
+def _rational(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randrange(1, 10),
+                    rng.randrange(1, 10))
+
+
+def _twelve_digits(rng):
+    return rng.choice([-1, 1]) * rng.randrange(10 ** 11, 10 ** 12)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
+def test_reduced_basis_matches_sympy_groebner(field):
+    """32 seeded ideals per field in 3 and 4 variables, half with rational
+    and half with 12-digit coefficients: the monic reduced grevlex bases
+    agree with sympy's."""
+    sympy = pytest.importorskip("sympy")
+    p = getattr(field, "p", None)
+    rng = random.Random(f"sympy-groebner:{field!r}")
+    cases = 0
+    for n, degrees in ((3, (1, 2, 3)), (4, (1, 2))):
+        ring = PolyRing(field, n)
+        xs = sympy.symbols(f"x0:{n}")
+        for k in range(16):
+            coeff = _rational if k % 2 else _twelve_digits
+            gens = _random_gens(rng, ring, rng.randrange(2, 4), degrees, coeff)
+            exprs = [sum(sympy.Rational(Fraction(c).numerator,
+                                        Fraction(c).denominator)
+                         * sympy.prod([x ** a for x, a in zip(xs, e)])
+                         for e, c in g.coeffs.items()) for g in gens]
+            options = {} if p is None else {"modulus": p}
+            oracle = sympy.groebner(exprs, *xs, order="grevlex", **options)
+            theirs = set()
+            for g in oracle.exprs:
+                terms = {e: field(Fraction(int(c.p), int(c.q)))
+                         for e, c in sympy.Poly(g, *xs).terms()}
+                lead = terms[max(terms, key=ring.key)]
+                theirs.add(frozenset((e, field.div(c, lead))
+                                     for e, c in terms.items()))
+            gb = Ideal(ring, gens).gb
+            assert all(g.leading()[1] == field.one for g in gb)
+            assert {frozenset(g.coeffs.items()) for g in gb} == theirs, (n, k)
+            cases += 1
+    assert cases == 32
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_reduction_by_a_reducer_with_a_non_unit_lead(field):
+    """x0^2 + x1^2 modulo 3*x0 + 2*x1: x0 = -2/3*x1 leaves 13/9*x1^2.  Over
+    Q the pseudo-division scales the remainder by 3 twice, to 13*x1^2."""
+    ring = PolyRing(field, 3)
+    free, (f, g) = vecs_from_polys(ring, [ring.parse("x0^2 + x1^2"),
+                                          ring.parse("3*x0 + 2*x1")])
+    rem = normal_form(f, [g])
+    assert set(rem.terms) == {(0, (0, 2, 0))}
+    if field == QQ:
+        assert rem.terms[(0, (0, 2, 0))] == 13
+    ideal = Ideal(ring, [ring.parse("3*x0 + 2*x1")])
+    assert ideal.contains(ring.parse("x0^2 + x1^2")
+                          - ring.parse("x1^2").scale(field(13, 9)))
+    assert not ideal.contains(ring.parse("x0^2 + x1^2"))
+
+
+P = CERT_PRIME
+
+
+def _count_q_bases(monkeypatch):
+    """Count Groebner bases computed over Q."""
+    calls = []
+    real = groebner.buchberger
+
+    def counting(vecs, **kwargs):
+        calls.append(len(vecs))
+        return real(vecs, **kwargs)
+
+    monkeypatch.setattr(groebner, "buchberger", counting)
+    return calls
+
+
+def test_emptiness_that_only_q_sees_falls_back_once(monkeypatch):
+    # x1 and x1 + P*x2 agree mod P: the leads mod P are x0 and x1 only
+    ring = ring3()
+    ideal = Ideal(ring, [ring.parse("x0"), ring.parse(f"x1 + {P}*x2"),
+                         ring.parse("x1")])
+    calls = _count_q_bases(monkeypatch)
+    assert ideal.is_projectively_empty()
+    assert len(calls) == 1
+
+
+def test_generic_empty_ideal_needs_no_q_basis(monkeypatch):
+    ring = ring3()
+    rng = random.Random("generic-empty")
+    ideal = Ideal(ring, _random_gens(rng, ring, 3, (2,), _twelve_digits))
+    calls = _count_q_bases(monkeypatch)
+    assert ideal.is_projectively_empty()
+    assert calls == []
+    assert ideal.saturate().is_unit()
+
+
+def test_nonempty_ideals_are_not_empty(monkeypatch):
+    calls = _count_q_bases(monkeypatch)
+    tc = Ideal(ring4(), twisted_cubic(ring4()))
+    assert not tc.is_projectively_empty()
+    ring = ring3()
+    pts = Ideal(ring, [ring.parse("x0*x1"), ring.parse("x0*x2"),
+                       ring.parse("x1*x2")])
+    assert not pts.is_projectively_empty()
+    assert len(calls) == 2
+
+
+def test_dimension_bound_survives_leads_that_vanish_mod_p(monkeypatch):
+    ring = ring4()
+    cases = [
+        # mod P the forms become x1 twice (dimension 3); over Q (x0, x1)
+        (["x1", f"x1 + {P}*x0"], 2),
+        # the leads x0^2 and x0*x1 carry the coefficient P
+        ([f"{P}*x0^2 + x1^2 + x2*x3", f"{P}*x0*x1 + x2^2 - x3^2"], 2),
+        # a common factor: dimension 3, not a complete intersection
+        ([f"{P}*x0^2 + x0*x1", f"{P}*x0*x2 + x1*x2"], 3),
+    ]
+    for gens, dim in cases:
+        forms = [ring.parse(g) for g in gens]
+        assert Ideal(ring, forms).krull_dim_quotient() == dim
+        for bound in range(5):
+            assert Ideal(ring, forms).krull_dim_at_most(bound) == (dim <= bound)
+    calls = _count_q_bases(monkeypatch)
+    generic = Ideal(ring, [ring.parse("x0^2 + x1*x2 - x3^2"),
+                           ring.parse("x1^2 - 3*x0*x3 + x2^2")])
+    assert generic.krull_dim_at_most(2)
+    assert calls == []
+
+
+def test_typed_errors_replace_the_invariant_checks(monkeypatch):
+    ring = ring3()
+    x0 = ring.parse("x0")
+    a = poly_to_vec(FreeModule(ring, (0,)), 0, x0)
+    b = poly_to_vec(FreeModule(ring, (1,)), 0, x0)
+    with pytest.raises(RingMismatchError):
+        a + b
+    m = PolyMatrix(ring, (0,), (1,), [[x0]])
+    with pytest.raises(HomogeneityError):
+        m.compose(m)
+    with pytest.raises(CertificateError, match="compose to zero"):
+        Resolution(FreeModule(ring, (0,)),
+                   [m, PolyMatrix(ring, (1,), (2,), [[x0]])])
+    free, vecs = vecs_from_polys(ring, [x0, ring.parse("x1")])
+    with pytest.raises(CertificateError, match="syzygy-theorem"):
+        minimal_free_resolution(free, vecs, max_length=0)
+    monkeypatch.setattr(Resolution, "length", property(lambda self: 99))
+    with pytest.raises(CertificateError, match="longer"):
+        minimal_free_resolution(free, vecs)
+    monkeypatch.setattr(groebner, "_reduce_full", lambda *args: {})
+    with pytest.raises(CertificateError, match="survive"):
+        reduced_basis(vecs)

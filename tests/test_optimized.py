@@ -1,6 +1,6 @@
 """The exact certificates must not depend on `assert`: the linear-algebra,
-Chow, subscheme, resolver and module suites also pass when Python runs
-with -O."""
+polynomial, Groebner, Chow, subscheme, resolver and module suites also pass
+when Python runs with -O."""
 
 import os
 import pathlib
@@ -17,7 +17,8 @@ def test_certificate_suites_pass_under_python_O():
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_linalg.py", "tests/test_chow.py", "tests/test_schemes.py",
+         "tests/test_linalg.py", "tests/test_polyring.py",
+         "tests/test_groebner.py", "tests/test_chow.py", "tests/test_schemes.py",
          "tests/test_resolver.py", "tests/test_modtools.py"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
