@@ -81,11 +81,14 @@ def _load_subscheme(args):
         d = args.d if args.d is not None else default_d
         return z, Polarization(z.n, d)
     try:
-        with open(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read input file: {exc.strerror}",
                          path=args.input) from None
+    except UnicodeDecodeError as exc:
+        raise InputError("input file is not UTF-8 text", path=args.input,
+                         offset=exc.start) from None
     z, pol = parse_subscheme_file(text)
     if args.d is not None:
         pol = Polarization(pol.n, args.d)

@@ -4,7 +4,8 @@ that ties a surface stage to its restriction sequences on the curve."""
 
 from fractions import Fraction
 
-from .errors import DegenerateKernelError, HypothesisError, SpecialityError
+from .errors import (CertificateError, DegenerateKernelError, HypothesisError,
+                     SpecialityError)
 
 
 class CurveBundleInvariants:
@@ -91,8 +92,12 @@ def restriction_bookkeeping(stage, pol):
     deg_e = pol.curve_degree(stage.m)
     c1_l = stage.chern.total.coeffs[1]
     deg_restricted = int(c1_l * d ** (n - 1))
-    assert stage.rank == stage.dim_v - 1
-    assert deg_restricted == -deg_e, "Chern restriction disagrees with RR degree"
+    if stage.rank != stage.dim_v - 1:
+        raise CertificateError("stage rank is not dim V - 1",
+                               rank=stage.rank, dim_v=stage.dim_v)
+    if deg_restricted != -deg_e:
+        raise CertificateError("Chern restriction disagrees with RR degree",
+                               restricted=deg_restricted, deg_e=deg_e)
     seqs = [
         {
             "label": "stage-restricted-to-curve",
@@ -126,7 +131,10 @@ def restriction_bookkeeping(stage, pol):
         "sections_equal_v": full,
     }
     if full:
-        assert m_e.rank == stage.rank
-        assert m_e.degree == deg_restricted
+        if m_e.rank != stage.rank or m_e.degree != deg_restricted:
+            raise CertificateError(
+                "Butler kernel invariants disagree with the restricted stage",
+                rank=m_e.rank, stage_rank=stage.rank, degree=m_e.degree,
+                restricted=deg_restricted)
         report["butler"]["sequences_coincide"] = True
     return report

@@ -34,7 +34,7 @@ from .errors import (BudgetError, CertificateError, HomogeneityError,
                      NonMinimalError, RingMismatchError)
 from .fields import GF, QQ, PrimeField
 from .linalg import CERT_PRIME, Span, fit_hilbert_polynomial, primitive_integers
-from .polyring import GradedPoly, piece_multiples
+from .polyring import GradedPoly, multiple_rows
 
 
 class FreeModule:
@@ -608,20 +608,17 @@ def minimal_generators(vecs):
     vecs = [v for v in vecs if not v.is_zero()]
     if not vecs:
         return []
-    free = vecs[0].free
-    ring = free.ring
+    ring = vecs[0].free.ring
     by_deg = {}
     for v in vecs:
         by_deg.setdefault(v.degree, []).append(v)
     kept = []
     for d in sorted(by_deg):
-        basis = free.piece_basis(d)
-        index = {t: i for i, t in enumerate(basis)}
         span = Span(ring.field)
-        for w in piece_multiples(ring, kept, d):
-            span.add(w.coords(index, d))
-        for v in by_deg[d]:
-            if span.add(v.coords(index, d)):
+        for row in multiple_rows(ring, kept, d):
+            span.add(row)
+        for v, row in zip(by_deg[d], multiple_rows(ring, by_deg[d], d)):
+            if span.add(row):
                 kept.append(v)
     return kept
 

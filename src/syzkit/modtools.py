@@ -14,7 +14,7 @@ from itertools import combinations
 from math import comb
 
 from .chow import KClass
-from .errors import BudgetError, InputError
+from .errors import BudgetError, CertificateError, InputError
 from .fields import GF
 from .groebner import (FreeModule, Ideal, PolyMatrix, Submodule, Vec,
                        minimal_generators, syzygies)
@@ -452,7 +452,9 @@ def filtration_report(presentation):
             if any(rest.coeffs):
                 hp = rest.coeffs
                 top = max((j for j, a in enumerate(hp) if a), default=0)
-                assert top < n, "residual quotient must be torsion"
+                if top >= n:
+                    raise CertificateError("residual quotient is not torsion",
+                                           support_dim=top, n=n)
                 report.append({"kind": "torsion-quotient", "kclass": rest.coeffs,
                                "support_dim": top})
                 acc = acc + rest
@@ -462,5 +464,8 @@ def filtration_report(presentation):
                 report.append({"kind": "torsion-quotient", "kclass": qk.coeffs,
                                "support_dim": None})
                 acc = acc + qk
-    assert acc == total, "K-class additivity failed across the filtration"
+    if acc != total:
+        raise CertificateError(
+            "K-class additivity failed across the filtration",
+            total=total.coeffs, summed=acc.coeffs)
     return report

@@ -4,6 +4,14 @@ Variables are x0..xn (n+1 of them for P^n).  Monomials are exponent
 tuples; supported orders are grevlex (default) and lex.  Every polynomial
 is homogeneous: graded pieces are the whole data model, so inhomogeneous
 input is rejected at construction.
+
+A ring caches, next to its degree-d monomial lists, a product-column table:
+for an exponent e and a multiplier degree k, the positions in the degree
+|e| + k basis of the products e*m, m over the degree-k monomials.
+multiple_rows reads it to build a matrix of monomial multiples (the
+Macaulay matrix of a generation certificate) as integer rows, placing
+each element's scaled coefficients at those columns, with no product
+polynomial formed.
 """
 
 from math import comb
@@ -44,6 +52,7 @@ class PolyRing:
         self.key = ORDER_KEYS[order]
         self.descending_key = DESCENDING_KEYS[order]
         self._mon_cache = {}
+        self._col_cache = {}
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and self.field == other.field
@@ -86,6 +95,18 @@ class PolyRing:
                                        degree=d, count=len(mons))
             self._mon_cache[d] = mons
         return self._mon_cache[d]
+
+    def product_columns(self, e, k):
+        """The position in monomials_of_degree(sum(e) + k) of e*m for each m
+        in monomials_of_degree(k), in that order; cached per (e, k)."""
+        cols = self._col_cache.get((e, k))
+        if cols is None:
+            index = {f: i for i, f in
+                     enumerate(self.monomials_of_degree(sum(e) + k))}
+            cols = self._col_cache[(e, k)] = [
+                index[tuple(a + b for a, b in zip(e, m))]
+                for m in self.monomials_of_degree(k)]
+        return cols
 
     def piece_dim(self, d):
         if d < 0:
@@ -262,13 +283,58 @@ class GradedPoly:
         return " ".join(parts)
 
 
+def multiplied_elements(ring, elems, d):
+    """The nonzero elems of degree at most d, each with the monomials of
+    degree d - deg g it is multiplied by.  This is the one order of the
+    multiples m*g that piece_multiples and multiple_rows both follow."""
+    return [(g, ring.monomials_of_degree(d - g.degree)) for g in elems
+            if not g.is_zero() and g.degree <= d]
+
+
 def piece_multiples(ring, elems, d):
     """The monomial multiples m*g (deg m = d - deg g) of the nonzero elems
-    of degree at most d, in a deterministic order: they span the degree-d
-    piece of the ideal or submodule that elems generate.  Elements are
-    polynomials or module elements."""
-    return [g.mul_monomial(m) for g in elems if not g.is_zero() and g.degree <= d
-            for m in ring.monomials_of_degree(d - g.degree)]
+    of degree at most d, in the order of multiplied_elements: they span the
+    degree-d piece of the ideal or submodule that elems generate.  Elements
+    are polynomials or module elements."""
+    return [g.mul_monomial(m)
+            for g, mons in multiplied_elements(ring, elems, d) for m in mons]
+
+
+def multiple_rows(ring, elems, d):
+    """The rows of piece_multiples(ring, elems, d) as integers, in the same
+    order, in the degree-d basis: the monomial basis for polynomials and
+    FreeModule.piece_basis(d) for module elements (read off their free
+    module's shifts).
+
+    Each element is scaled once: to residues over F_p, which are the rows
+    to_vector and coords give, and to primitive integers over Q, which
+    changes each row by a nonzero scalar only, so neither a rank nor the
+    rows a Span picks.  A multiple's row is then zeros with those integers
+    at the columns ring.product_columns gives."""
+    p = ring.field.p if isinstance(ring.field, PrimeField) else None
+    rows = []
+    for g, mons in multiplied_elements(ring, elems, d):
+        free = getattr(g, "free", None)
+        if free is None:
+            ncols = ring.piece_dim(d)
+            placed = [(0, e) for e in g.coeffs]
+            values = list(g.coeffs.values())
+        else:
+            offsets = [0]
+            for s in free.shifts:
+                offsets.append(offsets[-1] + ring.piece_dim(d - s))
+            ncols = offsets[-1]
+            placed = [(offsets[comp], e) for comp, e in g.terms]
+            values = list(g.terms.values())
+        if p is None:
+            values = primitive_integers(values)
+        k = d - g.degree
+        block = [[0] * ncols for _ in mons]
+        for (offset, e), c in zip(placed, values):
+            for row, col in zip(block, ring.product_columns(e, k)):
+                row[offset + col] = c
+        rows += block
+    return rows
 
 
 def graded_piece_dim(ring, gens, d):

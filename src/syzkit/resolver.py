@@ -24,8 +24,8 @@ from .groebner import FreeModule, Ideal, PolyMatrix, Vec
 from .linalg import (Matrix, Span, primitive_integers, rank_at_least,
                      rank_reaches)
 from .modtools import GradedModulePresentation, certify_locally_free, hoppe_check
-from .polyring import (PolyRing, integer_powers, piece_multiples,
-                       vanish_at)
+from .polyring import (PolyRing, integer_powers, multiple_rows,
+                       multiplied_elements, piece_multiples, vanish_at)
 from .schemes import (Polarization, SubschemeData, curve_sections,
                       h0_ideal_twist, h1_ideal_twist, restrict_to_curve,
                       restriction_kernel)
@@ -36,11 +36,16 @@ PRESENTATION_BUDGET = 12
 
 
 def ideal_piece_basis(ideal, k):
-    """A basis of the degree-k piece of the ideal, deterministic order."""
+    """A basis of the degree-k piece of the ideal, deterministic order: the
+    multiples of the Groebner basis whose integer rows grow a Span, formed
+    as polynomials only once picked."""
     ring = ideal.ring
     span = Span(ring.field)
-    return [p for p in piece_multiples(ring, ideal.gb, k)
-            if span.add(ring.to_vector(p, k))]
+    pairs = [(g, m) for g, mons in multiplied_elements(ring, ideal.gb, k)
+             for m in mons]
+    picked = [i for i, row in enumerate(multiple_rows(ring, ideal.gb, k))
+              if span.add(row)]
+    return [pairs[i][0].mul_monomial(pairs[i][1]) for i in picked]
 
 
 # -- generation certificates --------------------------------------------------
@@ -154,7 +159,7 @@ def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
     certified_at = None
     first_mismatch = None
     for k in range(md, t_max + 1):
-        rows = [ring.to_vector(p, k) for p in piece_multiples(ring, v_polys, k)]
+        rows = multiple_rows(ring, v_polys, k)
         want = ideal.piece_dim(k)
         got = rank_at_least(ring.field, rows, min(len(rows), want))
         table.append((k, got, want))
@@ -200,8 +205,12 @@ class KernelStage:
         self.presentation = presentation
         self.restriction = restriction
         self.seed = seed
-        assert rank >= 1
-        assert chern.rank == rank
+        if rank < 1:
+            raise CertificateError("kernel stage rank is not positive",
+                                   rank=rank)
+        if chern.rank != rank:
+            raise CertificateError("Chern rank disagrees with the stage rank",
+                                   rank=rank, chern_rank=chern.rank)
 
     @property
     def slope(self):
@@ -378,6 +387,8 @@ def stage_kernel_generators(ring, v_basis, scan_cap, p=DEFAULT_PRIME):
     for t in range(scan_cap + 1):
         tmons = ring.monomials_of_degree(t)
         labels = [(i, mo) for i in range(dim_v) for mo in tmons]
+        # not multiple_rows: a kernel vector depends on the scaling of each
+        # column, and primitive scaling over Q would change the generators
         cols = [ring.to_vector(v_basis[i].mul_monomial(mo), md + t)
                 for i, mo in labels]
         kern = Matrix(field, zip(*cols)).kernel()
@@ -385,6 +396,8 @@ def stage_kernel_generators(ring, v_basis, scan_cap, p=DEFAULT_PRIME):
         basis = ambient.piece_basis(t)
         index = {b: i for i, b in enumerate(basis)}
         span = Span(fp)
+        # not multiple_rows: this span checks the exact kernel lattice, and
+        # primitive scaling could change which rows are picked mod p
         for w in piece_multiples(ring, gens, t):
             span.add(_integer_coords(w, index, t))
         for vec in kern:
@@ -502,8 +515,11 @@ def _build_kernel_stage(z, pol, m=None, policy="auto", seed=0, mode="numeric",
     if n == 2:
         deg_z = z.degree
         md = m * d
-        assert chern.total.coeffs[1] == -md
-        assert chern.total.coeffs[2] == md * md - deg_z
+        c1, c2 = chern.total.coeffs[1:3]
+        if c1 != -md or c2 != md * md - deg_z:
+            raise CertificateError(
+                "surface stage Chern classes are not c1 = -md, "
+                "c2 = md^2 - deg Z", c1=c1, c2=c2, md=md, degree=deg_z)
 
     flags = {
         "policy": resolved,
@@ -641,7 +657,9 @@ class ResolutionChain:
         self.terminal_flags = terminal_flags
         self.mode = mode
         self.seed = seed
-        assert len(stages) == pol.n - 1
+        if len(stages) != pol.n - 1:
+            raise CertificateError("chain length is not n - 1",
+                                   stages=len(stages), n=pol.n)
 
     def residual(self):
         data = [(s.m, s.dim_v) for s in self.stages]
@@ -723,7 +741,10 @@ def build_chain(z, pol, mode="numeric", seed=0, p=None, m_list=None,
     def h0_x(m1):
         t = m1 * d
         k = stage0.m * d + t
-        assert cert_at is not None and k >= cert_at
+        if cert_at is None or k < cert_at:
+            raise CertificateError(
+                "h0 read off a piece below the certified generation degree",
+                degree=k, certified_at=cert_at)
         return stage0.dim_v * comb(t + 3, 3) - z.ideal.piece_dim(k)
 
     def curve_count(m1):
@@ -765,7 +786,11 @@ def build_chain(z, pol, mode="numeric", seed=0, p=None, m_list=None,
     chern1 = _chern_inverse(c_twisted, rank1)
     e_inv = CurveBundleInvariants(g, r0, deg_e, semistable=True)
     m_e = butler_kernel_invariants(e_inv)
-    assert m_e.rank == rank1 and m_e.degree == -deg_e
+    if m_e.rank != rank1 or m_e.degree != -deg_e:
+        raise CertificateError(
+            "Butler kernel invariants disagree with the second stage",
+            rank=m_e.rank, stage_rank=rank1, degree=m_e.degree,
+            stage_degree=-deg_e)
     window = [(stage0.m + m1 + s) * d for s in (-2, -1, 0, 1)]
     defects = _acm_defect_table(z, window)
     flags1 = {
@@ -841,10 +866,8 @@ def genericity_experiment(r, n, v, trials=100, seed=0, p=None, t_cap=None):
         for t in range(t_cap + 1):
             if v * ring.piece_dim(t) < r * ring.piece_dim(t + 1):
                 continue  # fewer multiples than columns: the rank falls short
-            basis = free.piece_basis(t)
-            index = {b: i for i, b in enumerate(basis)}
-            rows = [w.coords(index, t) for w in piece_multiples(ring, vecs, t)]
-            if rank_reaches(fp, rows, len(basis)):
+            rows = multiple_rows(ring, vecs, t)
+            if rank_reaches(fp, rows, free.piece_dim(t)):
                 break
         else:
             failures += 1

@@ -282,7 +282,9 @@ def restriction_kernel(v_basis, w_polys, w_bound=None):
 
     Each rank is a rank_at_least against a proven bound: #V for V, w_bound
     (default #W) for W, and rank V + rank W for the union, so Bareiss over
-    Q runs only when a mod-p rank misses its bound."""
+    Q runs only when a mod-p rank misses its bound.  The rows come from
+    to_vector, not polyring.multiple_rows: the API takes polynomials, and
+    restrict_to_curve passes products f*g, not monomial multiples."""
     ring = v_basis[0].ring
     field = ring.field
     md = v_basis[0].degree

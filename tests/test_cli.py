@@ -210,6 +210,17 @@ def test_bad_input_exits_with_input_payload(capsys, monkeypatch, tmp_path,
     assert json.loads(out)["code"] == "input"
 
 
+def test_input_that_is_not_utf8_exits_with_input_payload(capsys, tmp_path):
+    path = tmp_path / "z.txt"
+    path.write_bytes(b"\xff\xfe" + "ambient: 2\n".encode("utf-16-le"))
+    code, out = run(capsys, "resolve", "--input", str(path))
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["code"] == "input"
+    assert payload["message"] == "input file is not UTF-8 text"
+    assert payload["details"] == {"offset": "0", "path": str(path)}
+
+
 def test_unknown_suite_rejected_by_parser():
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import syzkit.curves as curves
 from syzkit.curves import (CurveBundleInvariants, butler_kernel_invariants,
                            restriction_bookkeeping)
-from syzkit.errors import HypothesisError, SpecialityError
+from syzkit.errors import CertificateError, HypothesisError, SpecialityError
 from syzkit.resolver import build_surface_kernel
 from syzkit.schemes import Polarization, builtin_subscheme
 
@@ -136,3 +137,43 @@ def test_bookkeeping_sequences_are_additive():
         assert seq["sub"]["rank"] + seq["quotient"]["rank"] == seq["middle"]["rank"]
         assert (seq["sub"]["degree"] + seq["quotient"]["degree"]
                 == seq["middle"]["degree"])
+
+
+def _full_sections_stage():
+    z, _ = builtin_subscheme("one-point")
+    pol = Polarization(2, 3)
+    return build_surface_kernel(z, pol, m=1), pol
+
+
+def test_bookkeeping_rejects_a_stage_rank_off_dim_v(monkeypatch):
+    stage, pol = _full_sections_stage()
+    monkeypatch.setattr(stage, "rank", stage.rank + 1)
+    with pytest.raises(CertificateError, match="dim V - 1"):
+        restriction_bookkeeping(stage, pol)
+
+
+def test_bookkeeping_rejects_a_restriction_off_the_rr_degree(monkeypatch):
+    stage, pol = _full_sections_stage()
+    exact = Polarization.curve_degree
+    monkeypatch.setattr(Polarization, "curve_degree",
+                        lambda self, m: exact(self, m) + 1)
+    with pytest.raises(CertificateError, match="RR degree"):
+        restriction_bookkeeping(stage, pol)
+
+
+@pytest.mark.parametrize("rank_off,degree_off", [(1, 0), (0, 1)],
+                         ids=["rank", "degree"])
+def test_bookkeeping_rejects_butler_invariants_off_the_stage(
+        monkeypatch, rank_off, degree_off):
+    stage, pol = _full_sections_stage()
+    exact = butler_kernel_invariants
+
+    def off(e):
+        m = exact(e)
+        return CurveBundleInvariants(m.genus, m.rank + rank_off,
+                                     m.degree + degree_off, semistable=True,
+                                     stable_by_butler=True)
+
+    monkeypatch.setattr(curves, "butler_kernel_invariants", off)
+    with pytest.raises(CertificateError, match="Butler"):
+        restriction_bookkeeping(stage, pol)

@@ -6,6 +6,8 @@ from itertools import combinations
 
 import pytest
 
+from syzkit.chow import KClass
+from syzkit.errors import CertificateError
 from syzkit.fields import QQ
 from syzkit.groebner import FreeModule, Ideal, Vec, vecs_from_polys
 from syzkit.modtools import (GradedModulePresentation, certify_locally_free,
@@ -233,6 +235,36 @@ def test_filtration_ideal_of_points():
     assert kinds[0] == "free"
     assert report[0]["rank"] == 1
     assert "torsion-quotient" in kinds  # the cycle the free part misses
+
+
+def _ideal_of_three_points_module():
+    ring = ring3()
+    free, vecs = vecs_from_polys(ring, [ring.parse("x0*x1"),
+                                        ring.parse("x0*x2"),
+                                        ring.parse("x1*x2")])
+    return GradedModulePresentation.of_submodule(free, vecs)
+
+
+def test_filtration_rejects_a_residual_quotient_of_full_support(monkeypatch):
+    exact = GradedModulePresentation.generic_rank
+    monkeypatch.setattr(GradedModulePresentation, "generic_rank",
+                        lambda self: exact(self) + 1)
+    with pytest.raises(CertificateError, match="not torsion"):
+        filtration_report(_ideal_of_three_points_module())
+
+
+def test_filtration_rejects_a_k_class_that_does_not_add_up(monkeypatch):
+    exact = GradedModulePresentation.kclass
+    calls = []
+
+    def off_on_first(self):
+        calls.append(self)
+        k = exact(self)
+        return k + KClass(k.n, [1]) if len(calls) == 1 else k
+
+    monkeypatch.setattr(GradedModulePresentation, "kclass", off_on_first)
+    with pytest.raises(CertificateError, match="additivity"):
+        filtration_report(_ideal_of_three_points_module())
 
 
 def test_filtration_structure_sheaf_pure_torsion():

@@ -1,6 +1,7 @@
 """Graded polynomial arithmetic, monomial orders, piece matrices."""
 
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -9,8 +10,11 @@ import syzkit.polyring as polyring
 from syzkit.errors import (CertificateError, HomogeneityError, ParseError,
                            RingMismatchError)
 from syzkit.fields import GF, QQ
+from syzkit.groebner import FreeModule, Vec
+from syzkit.linalg import primitive_integers
 from syzkit.polyring import (GradedPoly, PolyRing, graded_piece_dim,
-                             grevlex_key, piece_multiples, span_dim)
+                             grevlex_key, multiple_rows, piece_multiples,
+                             span_dim)
 
 
 def test_piece_dimension_binomial():
@@ -150,3 +154,78 @@ def test_monomial_count_is_checked_against_the_piece_dimension(monkeypatch):
     with pytest.raises(CertificateError, match="monomial count") as exc:
         ring.monomials_of_degree(2)
     assert exc.value.details == {"degree": 2, "count": 5}
+
+
+def _random_coeff(rng, field):
+    if field == QQ:
+        # large rationals: a 100-bit numerator over a 60-bit denominator
+        return Fraction(rng.randrange(-2 ** 100, 2 ** 100),
+                        rng.randrange(1, 2 ** 60))
+    return rng.randrange(field.p)
+
+
+def _random_poly(rng, ring, deg):
+    mons = ring.monomials_of_degree(deg)
+    picked = rng.sample(mons, rng.randint(1, min(4, len(mons))))
+    return ring.from_terms({m: _random_coeff(rng, ring.field) for m in picked},
+                           deg)
+
+
+def _random_vec(rng, free, deg):
+    ring = free.ring
+    terms = {}
+    for comp, s in enumerate(free.shifts):
+        mons = ring.monomials_of_degree(deg - s)
+        for m in rng.sample(mons, min(rng.randint(0, 3), len(mons))):
+            terms[(comp, m)] = _random_coeff(rng, ring.field)
+    return Vec(free, terms, degree=deg)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(2 ** 31 - 1)],
+                         ids=["QQ", "GF101", "GF2^31-1"])
+def test_multiple_rows_match_the_dense_multiples(field):
+    """multiple_rows gives the to_vector/coords rows of piece_multiples:
+    the same residues over F_p, and over Q the same rows up to a nonzero
+    scalar (exactly their primitive integer form)."""
+    rng = random.Random(f"multiple-rows:{field!r}")
+    checked = 0
+    for trial in range(40):
+        ring = PolyRing(field, rng.choice((2, 3, 4)))
+        d = rng.randint(0, 5)
+        if trial % 2:
+            free = FreeModule(ring, rng.choice(((0,), (0, 2, -1), (1, 1, 3),
+                                                (-1, 0))))
+            elems = [_random_vec(rng, free, rng.randint(-1, d + 2))
+                     for _ in range(rng.randint(1, 4))]
+            basis = free.piece_basis(d)
+            index = {b: i for i, b in enumerate(basis)}
+            dense = [w.coords(index, d) for w in piece_multiples(ring, elems, d)]
+        else:
+            elems = [_random_poly(rng, ring, rng.randint(0, d + 2))
+                     for _ in range(rng.randint(1, 4))]
+            elems.append(ring.zero())
+            rng.shuffle(elems)
+            dense = [ring.to_vector(w, d) for w in piece_multiples(ring, elems, d)]
+        rows = multiple_rows(ring, elems, d)
+        assert len(rows) == len(dense)
+        for row, old in zip(rows, dense):
+            assert all(type(c) is int for c in row)
+            if field != QQ:
+                assert row == old
+                continue
+            assert row == primitive_integers(old)
+            j = next(i for i, c in enumerate(old) if c)
+            scale = Fraction(row[j]) / old[j]
+            assert scale and [scale * c for c in old] == row
+        checked += len(rows)
+    assert checked > 200
+
+
+def test_product_columns_are_cached_on_the_ring():
+    ring = PolyRing(QQ, 3)
+    cols = ring.product_columns((1, 0, 1), 2)
+    mons = ring.monomials_of_degree(4)
+    assert [mons[c] for c in cols] == [
+        tuple(a + b for a, b in zip((1, 0, 1), m))
+        for m in ring.monomials_of_degree(2)]
+    assert ring.product_columns((1, 0, 1), 2) is cols

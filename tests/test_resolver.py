@@ -16,7 +16,7 @@ from syzkit.fields import GF, QQ
 from syzkit.groebner import (FreeModule, Ideal, Submodule, Vec, syzygies,
                              vecs_from_polys)
 from syzkit.linalg import Matrix, rank_reaches
-from syzkit.polyring import PolyRing
+from syzkit.polyring import GradedPoly, PolyRing
 from syzkit.resolver import (_chern_inverse, _gradient_rank_at, _gradient_rows,
                              build_chain, build_surface_kernel,
                              chain_character_residual,
@@ -621,6 +621,101 @@ def test_generation_and_restriction_ranks_need_no_bareiss(monkeypatch):
     planted = v4 + [conic * ring.parse("x0*x1")]
     assert restrict_to_curve(z, planted, conic) == (False, 6)
     assert q_ranks == [(10, 15)]
+
+
+def test_generation_and_genericity_build_no_product_polynomials(monkeypatch):
+    """Their multiplication matrices come from multiple_rows, which places
+    integers at cached columns instead of forming each multiple."""
+    z, pol = three_points()
+    v = build_surface_kernel(z, pol).v_basis
+    reg = z.regularity()
+    expected = check_generation(v, z.ideal, points=z.points, reg=reg).table
+
+    def forbidden(*args, **kwargs):
+        raise _Reached("a monomial multiple was formed")
+
+    monkeypatch.setattr(GradedPoly, "mul_monomial", forbidden)
+    monkeypatch.setattr(Vec, "mul_monomial", forbidden)
+    rep = check_generation(v, z.ideal, points=z.points, reg=reg)
+    assert rep.certified and rep.table == expected
+    assert genericity_experiment(2, 2, 4, trials=5, seed=0)["failures"] == 0
+    assert genericity_experiment(1, 2, 2, trials=5, seed=0)["failures"] == 5
+
+
+def test_stage_rejects_a_rank_below_one():
+    with pytest.raises(CertificateError, match="not positive"):
+        resolver.KernelStage(0, 1, 1, 0, ChernVector(0, ChowClass(2, [1])), {})
+
+
+def _chern_inverse_off(monkeypatch, rank_off=0, coeff=None):
+    """Make _chern_inverse return its class with the rank or one Chern
+    coefficient moved by one."""
+    exact = resolver._chern_inverse
+
+    def off(cv, rank):
+        real = exact(cv, rank)
+        coeffs = list(real.total.coeffs)
+        if coeff is not None:
+            coeffs[coeff] += 1
+        return ChernVector(real.rank + rank_off,
+                           ChowClass(real.total.n, coeffs, real.total.scale))
+
+    monkeypatch.setattr(resolver, "_chern_inverse", off)
+
+
+def test_stage_rejects_a_chern_rank_off_the_stage_rank(monkeypatch):
+    z, pol = three_points()
+    _chern_inverse_off(monkeypatch, rank_off=1)
+    with pytest.raises(CertificateError, match="Chern rank"):
+        build_surface_kernel(z, pol)
+
+
+@pytest.mark.parametrize("coeff", [1, 2], ids=["c1", "c2"])
+def test_surface_stage_rejects_chern_classes_off_the_formula(monkeypatch,
+                                                             coeff):
+    z, pol = three_points()
+    _chern_inverse_off(monkeypatch, coeff=coeff)
+    with pytest.raises(CertificateError, match="surface stage Chern"):
+        build_surface_kernel(z, pol)
+
+
+def test_chain_rejects_a_stage_count_off_n_minus_one():
+    z, pol = three_points()
+    chain = build_chain(z, pol)
+    with pytest.raises(CertificateError, match="chain length"):
+        resolver.ResolutionChain(z, pol, chain.stages * 2,
+                                 chain.terminal_chern, {}, "numeric", 0)
+
+
+def test_chain_rejects_h0_below_the_certified_degree(monkeypatch):
+    z, d = builtin_subscheme("line-p3")
+    exact = resolver._build_kernel_stage
+
+    def uncertified(*args, **kwargs):
+        stage = exact(*args, **kwargs)
+        stage.flags["generation_certified_at"] = None
+        return stage
+
+    monkeypatch.setattr(resolver, "_build_kernel_stage", uncertified)
+    with pytest.raises(CertificateError, match="certified generation degree"):
+        build_chain(z, Polarization(3, d))
+
+
+@pytest.mark.parametrize("rank_off,degree_off", [(1, 0), (0, 1)],
+                         ids=["rank", "degree"])
+def test_chain_rejects_butler_invariants_off_the_second_stage(
+        monkeypatch, rank_off, degree_off):
+    z, d = builtin_subscheme("line-p3")
+    exact = resolver.butler_kernel_invariants
+
+    def off(e):
+        m = exact(e)
+        return SimpleNamespace(rank=m.rank + rank_off,
+                               degree=m.degree + degree_off)
+
+    monkeypatch.setattr(resolver, "butler_kernel_invariants", off)
+    with pytest.raises(CertificateError, match="Butler"):
+        build_chain(z, Polarization(3, d))
 
 
 def test_stage_rejects_a_piece_basis_off_h0(monkeypatch):
