@@ -204,10 +204,13 @@ def ch_from_c(c):
 
 def c_from_ch(ch):
     """Inverse of ch_from_c; the recovered Chern classes must be integral
-    in L units (asserted) and ch_0 must be an integer rank."""
+    in L units and ch_0 must be an integer rank (CertificateError
+    otherwise)."""
     n = ch.n
     rank = ch.coeffs[0]
-    assert rank.denominator == 1
+    if rank.denominator != 1:
+        raise CertificateError("Chern character has a non-integer rank",
+                               rank=str(rank))
     p = [Fraction(0)] + [ch.coeffs[k] * factorial(k) for k in range(1, n + 1)]
     e = [Fraction(1)] + [Fraction(0)] * n
     for k in range(1, n + 1):
@@ -216,7 +219,9 @@ def c_from_ch(ch):
             acc -= (-1) ** (i - 1) * e[i] * p[k - i]
         e[k] = acc * (-1) ** (k - 1) / k
     total = ChowClass(n, e, ch.scale)
-    assert total.is_integral(), "Chern classes recovered from ch are not integral"
+    if not total.is_integral():
+        raise CertificateError("Chern classes recovered from ch are not "
+                               "integral", total=[str(c) for c in e])
     return ChernVector(int(rank), total)
 
 
@@ -266,14 +271,18 @@ def _chi_system(n):
 def ch_from_chi_values(n, values, scale=1, verify=None):
     """Chern character from exact Euler characteristics chi(F(kL)) at
     k = 0..n; the system is triangular in total degree so the solution is
-    unique.  Optional verify: extra (k, chi) pairs asserted afterwards."""
+    unique.  Optional verify: extra (k, chi) pairs checked afterwards.
+    CertificateError when the system has no solution or a pair fails."""
     sol = _chi_system(n).solve([Fraction(v) for v in values])
-    assert sol is not None
+    if sol is None:
+        raise CertificateError("chi values give no Chern character", n=n)
     ch = ChowClass(n, sol, scale)
-    if verify:
-        for k, v in verify:
-            assert chi_of_twist(ch.with_scale(1), k) == v, \
-                "Chern character does not reproduce chi at verification point"
+    for k, v in verify or ():
+        got = chi_of_twist(ch.with_scale(1), k)
+        if got != v:
+            raise CertificateError("Chern character does not reproduce chi "
+                                   "at a verification point", k=k,
+                                   expected=str(v), got=str(got))
     return ch
 
 
@@ -312,19 +321,26 @@ class KClass:
 
     def chi(self, k):
         v = kclass_chi(self.coeffs, k)
-        assert v.denominator == 1
+        if v.denominator != 1:
+            raise CertificateError("K-class has a non-integer chi", k=str(k),
+                                   chi=str(v))
         return int(v)
 
     def twist(self, t):
         vals = [self.chi(k + t) for k in range(self.n + 4)]
         return KClass.from_chi(self.n, vals)
 
+    def _check(self, other):
+        if self.n != other.n:
+            raise InputError("ambient mismatch in K-class arithmetic",
+                             n=self.n, other=other.n)
+
     def __add__(self, other):
-        assert self.n == other.n
+        self._check(other)
         return KClass(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
-        assert self.n == other.n
+        self._check(other)
         return KClass(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __eq__(self, other):
@@ -348,7 +364,8 @@ def _line_bundle_class(n, t):
     """[O(tL)] on P^n, computed once per argument (a KClass is never
     mutated)."""
     vals = [gbinom(k + t + n, n) for k in range(n + 4)]
-    assert all(v.denominator == 1 for v in vals)
+    if any(v.denominator != 1 for v in vals):
+        raise CertificateError("line bundle has a non-integer chi", n=n, t=t)
     return KClass.from_chi(n, [int(v) for v in vals])
 
 
@@ -379,5 +396,7 @@ def bezout_h2(m1, m2):
     if old_r != 1:
         raise CoprimalityError(
             f"c2 values {u} and {v} share a factor", gcd=old_r, m1=m1, m2=m2)
-    assert old_a * u + old_b * v == 1
+    if old_a * u + old_b * v != 1:
+        raise CertificateError("Bezout coefficients fail their identity",
+                               m1=m1, m2=m2)
     return old_a, old_b

@@ -9,12 +9,11 @@ kernel stays fraction-free too: back-substitution on the Bareiss echelon
 keeps an integer vector and rescales it only by what the next pivot
 division needs, and each kernel vector is verified exactly against every
 scaled integer row.  Over F_p a kernel or a solution comes from the
-reduced echelon form mod p; a rank is forward-only, the row count of a
-Span, with no clearing above the pivots.
-
-A Span over F_p reduces packed rows, one Python int each, so reducing by
-a stored row is one big-int multiply-add (the slot width that keeps every
-slot from carrying is argued at Span).
+reduced echelon form mod p; a rank is forward-only, the pivot count of a
+Span, with no clearing above the pivots.  A Span over F_p keeps each row
+packed in one Python int: a reduction step is one big-int multiply-add,
+and one slot-wise Barrett reduction brings every slot back to an exact
+residue at once (the slot width is argued at Span).
 
 rank_reaches is the one test "is the rank at least target?"; over Q a
 rank mod CERT_PRIME that reaches target proves it, and Bareiss runs only
@@ -23,6 +22,7 @@ on a miss.  rank_at_least is the exact rank under a proven upper bound.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .errors import CertificateError, UnsupportedFieldError
@@ -276,23 +276,45 @@ def primitive_integers(vec):
     return ints
 
 
+@lru_cache(maxsize=None)
+def _slots(p, ncols):
+    """(W, slot mask, normalize) of ncols packed residues mod p (see Span)."""
+    b = p.bit_length()
+    s = 2 * b + (ncols + 1).bit_length() + 1
+    w = -(-(2 * s - 2 * b + 2) // 8) * 8
+    ones = ((1 << w * ncols) - 1) // ((1 << w) - 1)
+    low = ones * ((1 << s - b + 1) - 1)
+    mu = (1 << s) // p
+    off = ones * ((1 << b + 1) - p)
+
+    def normalize(x):
+        x -= ((x >> b - 1 & low) * mu >> s - b + 1 & low) * p
+        x -= ((x + off) >> b + 1 & ones) * p
+        return x - ((x + off) >> b + 1 & ones) * p
+
+    return w, (1 << w) - 1, normalize
+
+
 class Span:
     """Incremental row echelon over a field: the span of the rows added so
     far.  A stored row is zero left of its pivot and at the pivots of the
     rows stored before it, so a new row reduces in one pass over the stored
-    rows.  rows holds the stored rows and pivots their pivot columns.
+    rows.  pivots holds their pivot columns; rows of unequal length raise.
 
-    Over F_p rows are residues scaled to pivot 1.  The reduction packs a
-    row into one Python int of fixed-width slots, column j in bits
-    [j*W, (j+1)*W), so reducing it by a stored row R at pivot c is one
-    big-int multiply-add V += (p - a)*R, with a the residue of V's slot c.
-    A slot starts below p and each of at most ncols updates adds at most
-    (p-1)^2, so it stays below p + ncols*(p-1)^2 <
-    2^(2*bitlen(p) + bitlen(ncols) + 1).  W is that width rounded up to
-    whole bytes: no slot carries into the next, and the residues are read
-    back exactly, once per row, after the pass.  Packing is lazy: a row is
-    packed at its first nonzero pivot residue (a row that needs no
-    reduction is never packed), and a stored row at its first use.
+    Over F_p a row is one int of W-bit slots, column j in bits [j*W,
+    (j+1)*W); a stored row holds residues in [0, p) and the inverse of its
+    pivot residue.  Reducing x by the row R at pivot c is x += (p - a)*R
+    with a = slot(x, c)*inv mod p.  Let b = bitlen(p), s = 2b +
+    bitlen(ncols+1) + 1: a slot starts below p and gains at most (p-1)^2
+    in each of at most ncols steps, so it stays below (ncols+1)*p^2 < 2^s.
+    If a step changed x, a slot-wise Barrett step q = ((x >> (b-1) & M)*mu
+    >> (s-b+1)) & M, x -= q*p, with mu = 2^s // p and M the low s-b+1 bits
+    of every slot, leaves each slot below 3p; its products are below
+    2^(2s-2b+2), that width rounded up to bytes is W, and no slot carries.
+    Two conditional subtractions (add 2^(b+1) - p to every slot, read bit
+    b+1, subtract p where it is set) leave exact residues: x == 0 is a
+    dependent row, the slot of its lowest set bit the pivot.  rows is a
+    view that unpacks and scales to pivot 1 on each read.
 
     Over Q rows are primitive integer rows, and a reduction cross-multiplies
     by the two pivot entries over their gcd and strips the content, so the
@@ -300,70 +322,57 @@ class Span:
 
     def __init__(self, field):
         self.p = field.p if isinstance(field, PrimeField) else None
-        self.rows = []
         self.pivots = []
-        self._packed = []  # over F_p: each stored row packed, or None until used
+        self._rows = []  # over F_p packed ints, over Q integer lists
+        self._invs = []  # over F_p the inverse of each pivot residue
         self._ncols = None
+
+    @property
+    def rows(self):
+        if self.p is None or not self._rows:
+            return list(self._rows)
+        w, mask, _ = _slots(self.p, self._ncols)
+        return [[(x >> s & mask) * inv % self.p
+                 for s in range(0, self._ncols * w, w)]
+                for x, inv in zip(self._rows, self._invs)]
 
     def add(self, vec):
         """Reduce vec against the span and insert it; True when the span grew."""
+        if self._ncols is None:
+            self._ncols = len(vec)
+        elif len(vec) != self._ncols:
+            raise ValueError("ragged rows")
         p = self.p
         if p is None:
             return self._add_rational(primitive_integers(vec))
-        ncols = len(vec)
-        if self._ncols is None:
-            self._ncols = ncols
-            self._bytes = -(-(2 * p.bit_length() + ncols.bit_length() + 1) // 8)
-        elif ncols != self._ncols:
-            raise ValueError("ragged rows")
-        v = [c % p for c in vec]
-        lo = next((i for i, c in enumerate(v) if c), None)  # v is 0 left of lo
-        if lo is None:
+        w, mask, normalize = _slots(p, self._ncols)
+        x = sum([c % p << s for s, c in zip(range(0, len(vec) * w, w), vec)
+                 if c])
+        if not x:
             return False
-        w = 8 * self._bytes
-        mask = (1 << w) - 1
-        packed = None
-        for k, piv in enumerate(self.pivots):
-            if piv < lo:
-                continue  # the residue at piv is already 0
-            if packed is None:
-                a = v[piv]
+        lo = ((x & -x).bit_length() - 1) // w  # x is 0 left of slot lo
+        reduced = False
+        for row, piv, inv in zip(self._rows, self.pivots, self._invs):
+            if piv >= lo:
+                a = (x >> piv * w & mask) * inv % p
                 if a:
-                    packed = self._pack(v, lo)
-            else:
-                a = (packed >> piv * w & mask) % p
-            if a:
-                row = self._packed[k]
-                if row is None:
-                    row = self._packed[k] = self._pack(self.rows[k], piv)
-                packed += (p - a) * row
-            if lo == piv:
-                lo += 1
-        if packed is not None:
-            v[lo:] = [(packed >> s & mask) % p for s in range(lo * w, ncols * w, w)]
-            v[:lo] = [0] * lo
-        piv = next((i for i in range(lo, ncols) if v[i]), None)
-        if piv is None:
-            return False
-        inv = pow(v[piv], -1, p)
-        v[piv:] = [inv * c % p for c in v[piv:]]
-        self.rows.append(v)
-        self.pivots.append(piv)
-        self._packed.append(None)
+                    x += (p - a) * row
+                    reduced = True
+        if reduced:
+            x = normalize(x)
+            if not x:
+                return False
+            lo = ((x & -x).bit_length() - 1) // w
+        self._rows.append(x)
+        self.pivots.append(lo)
+        self._invs.append(pow(x >> lo * w & mask, -1, p))
         return True
-
-    def _pack(self, v, lo):
-        """The residues v as one int of byte-wide slots; v is 0 left of lo."""
-        size = self._bytes
-        return int.from_bytes(b"".join([c.to_bytes(size, "little")
-                                        for c in v[lo:]]),
-                              "little") << 8 * size * lo
 
     def _add_rational(self, v):
         lo = next((i for i, c in enumerate(v) if c), None)  # v is 0 left of lo
         if lo is None:
             return False
-        for row, piv in zip(self.rows, self.pivots):
+        for row, piv in zip(self._rows, self.pivots):
             c = v[piv]
             if not c:
                 continue
@@ -381,7 +390,7 @@ class Span:
         piv = next((i for i in range(lo, len(v)) if v[i]), None)
         if piv is None:
             return False
-        self.rows.append(v)
+        self._rows.append(v)
         self.pivots.append(piv)
         return True
 
@@ -405,11 +414,11 @@ def rank_reaches(field, rows, target):
     left = len(rows)
     for row in rows:
         left -= 1
-        if span.add(row) and len(span.rows) >= target:
+        if span.add(row) and len(span.pivots) >= target:
             return True
-        if len(span.rows) + left < target:
+        if len(span.pivots) + left < target:
             return False
-    return len(span.rows) >= target
+    return len(span.pivots) >= target
 
 
 def rank_at_least(field, rows, bound):
@@ -422,8 +431,7 @@ def rank_at_least(field, rows, bound):
     if isinstance(field, PrimeField):
         if rank_reaches(field, rows, bound):
             return bound
-        span = Span(field)
-        return sum(span.add(r) for r in rows)
+        return sum(map(Span(field).add, rows))
     ints = [primitive_integers(r) for r in rows]
     if rank_reaches(GF(CERT_PRIME), ints, bound):
         return bound
@@ -454,11 +462,3 @@ def random_matrix(field, nrows, ncols, seed):
     rng = random.Random(seed)
     return Matrix(field, [[rng.randrange(field.p) for _ in range(ncols)]
                           for _ in range(nrows)])
-
-
-def random_int_matrix(nrows, ncols, seed, bound=None):
-    """Seeded integer matrix over Q: entries are uniform lifts from [0, p)."""
-    p = GF().p if bound is None else bound
-    rng = random.Random(seed)
-    return Matrix(QQ, [[Fraction(rng.randrange(p)) for _ in range(ncols)]
-                       for _ in range(nrows)])

@@ -19,10 +19,10 @@ from .curves import (CurveBundleInvariants, butler_kernel_invariants,
                      restriction_bookkeeping)
 from .errors import (CertificateError, GenericityError, HypothesisError,
                      InputError, SpecialityError, ThresholdError)
-from .fields import DEFAULT_PRIME, GF, QQ
+from .fields import DEFAULT_PRIME, GF, QQ, PrimeField
 from .groebner import FreeModule, Ideal, PolyMatrix, Vec
-from .linalg import (Matrix, Span, primitive_integers, rank_at_least,
-                     rank_reaches)
+from .linalg import (CERT_PRIME, Matrix, Span, primitive_integers,
+                     rank_at_least, rank_reaches)
 from .modtools import GradedModulePresentation, certify_locally_free, hoppe_check
 from .polyring import (PolyRing, integer_powers, multiple_rows,
                        multiplied_elements, piece_multiples, vanish_at)
@@ -84,30 +84,41 @@ class GenerationReport:
                 f"max_checked={self.max_degree_checked})")
 
 
-def _gradient_rows(ring, polys, point):
-    """The Jacobian of the polys at a point, in integers: each poly is
-    scaled to primitive integer coefficients and the point by
-    integer_powers.  Either scaling multiplies a row by a nonzero constant,
-    so the rank is unchanged.  Over F_p the elements already are integers
-    with denominator 1, the gcd divided out is a unit, and the ranks reduce
-    the entries mod p."""
-    n = ring.num_vars
-    powers = integer_powers(point, max(p.degree for p in polys) - 1)
-    rows = []
-    for p in polys:
-        terms = list(zip(p.coeffs, primitive_integers(list(p.coeffs.values()))))
+def _partials(ring, polys):
+    """Per form, per variable, the terms (c * e_i, e - unit_i) of the
+    partial derivative of the form scaled to primitive integer
+    coefficients.  The scaling multiplies a Jacobian row by a nonzero
+    constant, so no rank changes; over F_p the coefficients already are
+    integers with denominator 1 and the gcd divided out is a unit."""
+    out = []
+    for f in polys:
+        terms = list(zip(f.coeffs, primitive_integers(list(f.coeffs.values()))))
+        out.append([[(c * e[i], e[:i] + (e[i] - 1,) + e[i + 1:])
+                     for e, c in terms if e[i]] for i in range(ring.num_vars)])
+    return out
+
+
+def _jacobian_rows(partials, powers):
+    """The Jacobian rows at a point, one form at a time, from the powers of
+    its coordinates (exact integers, or residues mod a prime)."""
+    for form in partials:
         row = []
-        for i in range(n):
+        for terms in form:
             acc = 0
-            for e, c in terms:
-                if e[i]:
-                    val = c * e[i]
-                    for j, (pw, k) in enumerate(zip(powers, e)):
-                        val *= pw[k - 1 if j == i else k]
-                    acc += val
+            for c, e in terms:
+                for pw, k in zip(powers, e):
+                    c *= pw[k]
+                acc += c
             row.append(acc)
-        rows.append(row)
-    return rows
+        yield row
+
+
+def _gradient_rows(ring, polys, point):
+    """The Jacobian of the polys at a point, in integers: the polys scaled
+    as _partials scales them and the point by integer_powers (a projective
+    rescaling, which multiplies a row by a nonzero constant)."""
+    powers = integer_powers(point, max(p.degree for p in polys) - 1)
+    return list(_jacobian_rows(_partials(ring, polys), powers))
 
 
 def _gradient_rank_at(ring, polys, point):
@@ -128,8 +139,11 @@ def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
     points, when given, are the reduced points the ideal vanishes on
     exactly: membership of V is then checked by evaluation, and a fiberwise
     Jacobian-spanning screen at each point supplies definitive failure
-    witnesses; it asks rank_reaches whether the Jacobian has rank n, so
-    Bareiss runs only at a point where the rank mod p falls short.
+    witnesses.  The forms are scaled once; at each point the Jacobian rows
+    are evaluated mod CERT_PRIME (mod p over F_p), one form at a time, into
+    a Span that stops once it holds n rows.  Rank mod p <= rank over Q, so
+    that proves the point is no witness; only a point where it falls short
+    is decided exactly, by _gradient_rows and rank_reaches.
     "uncertified" means the scan window was capped below the certification
     threshold.
     """
@@ -151,9 +165,16 @@ def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
     witness = None
     if points:
         n = ring.num_vars - 1
-        for p in points:
-            if not rank_reaches(ring.field, _gradient_rows(ring, v_polys, p), n):
-                witness = [str(c) for c in p]
+        q = ring.field.p if isinstance(ring.field, PrimeField) else CERT_PRIME
+        partials = _partials(ring, v_polys)
+        for pt in points:
+            powers = [[x % q for x in pw] for pw in integer_powers(pt, md - 1)]
+            span = Span(GF(q))
+            reached = any(span.add(row) and len(span.pivots) >= n
+                          for row in _jacobian_rows(partials, powers))
+            if not (reached or rank_reaches(
+                    ring.field, _gradient_rows(ring, v_polys, pt), n)):
+                witness = [str(c) for c in pt]
                 break
     table = []
     certified_at = None
@@ -408,10 +429,10 @@ def stage_kernel_generators(ring, v_basis, scan_cap, p=DEFAULT_PRIME):
             w = Vec(ambient, terms, degree=t)
             if span.add(_integer_coords(w, index, t)):
                 gens.append(w)
-        if len(span.rows) != len(kern):
+        if len(span.pivots) != len(kern):
             raise CertificateError(
                 "mod-p generator span missed the exact kernel piece",
-                degree=t, span=len(span.rows), kernel=len(kern))
+                degree=t, span=len(span.pivots), kernel=len(kern))
     return ambient, gens, piece_dims
 
 

@@ -6,11 +6,14 @@ from math import comb
 
 import pytest
 
+from syzkit import chow
 from syzkit.chow import (ChernVector, ChowClass, KClass, bezout_h2, c_from_ch,
                          ch_from_c, ch_from_chi_values, ch_ideal_sheaf,
                          chern_of_twist, chi_of_twist, euler_characteristic,
                          exp_class, kclass_chi, todd)
 from syzkit.errors import CertificateError, CoprimalityError, InputError
+from syzkit.fields import QQ
+from syzkit.linalg import Matrix
 
 
 def test_multiplication_truncates_and_is_ring_like():
@@ -221,3 +224,50 @@ def test_l_ints_requires_integrality():
     c = ChowClass(2, [Fraction(1), Fraction(1, 2), Fraction(0)])
     with pytest.raises(CertificateError):
         c.l_ints()
+
+
+# -- certificates that raise typed errors ---------------------------------------
+
+
+def test_c_from_ch_rejects_a_non_integer_rank():
+    with pytest.raises(CertificateError, match="non-integer rank"):
+        c_from_ch(ChowClass(2, [Fraction(1, 2)]))
+
+
+def test_c_from_ch_rejects_non_integral_chern_classes():
+    with pytest.raises(CertificateError, match="not integral"):
+        c_from_ch(ChowClass(1, [1, Fraction(1, 2)]))
+
+
+def test_ch_from_chi_values_rejects_a_failed_verification_point():
+    # chi(O(k)) = k + 1 on P^1, so chi at k = 2 is 3, not 4
+    assert ch_from_chi_values(1, [1, 2], verify=[(2, 3)]) == ChowClass(1, [1])
+    with pytest.raises(CertificateError, match="verification point"):
+        ch_from_chi_values(1, [1, 2], verify=[(2, 4)])
+
+
+def test_ch_from_chi_values_rejects_an_unsolvable_system(monkeypatch):
+    monkeypatch.setattr(chow, "_chi_system",
+                        lambda n: Matrix(QQ, [[Fraction(0)] * (n + 1)
+                                              for _ in range(n + 1)]))
+    with pytest.raises(CertificateError, match="no Chern character"):
+        ch_from_chi_values(1, [1, 2])
+
+
+def test_kclass_chi_rejects_a_non_integer_value():
+    with pytest.raises(CertificateError, match="non-integer chi"):
+        KClass(1, [0, 1]).chi(Fraction(1, 2))
+
+
+def test_kclass_arithmetic_rejects_an_ambient_mismatch():
+    a, b = KClass(1, [1]), KClass(2, [1])
+    with pytest.raises(InputError, match="ambient mismatch"):
+        a + b
+    with pytest.raises(InputError, match="ambient mismatch"):
+        a - b
+
+
+def test_line_bundle_class_rejects_a_non_integer_chi(monkeypatch):
+    monkeypatch.setattr(chow, "gbinom", lambda a, b: Fraction(1, 2))
+    with pytest.raises(CertificateError, match="line bundle"):
+        chow._line_bundle_class.__wrapped__(2, 1)

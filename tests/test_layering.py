@@ -63,3 +63,12 @@ def test_no_imports_inside_functions(module):
             for node in ast.walk(fn):
                 assert not isinstance(node, (ast.Import, ast.ImportFrom)), \
                     f"{module}.py:{node.lineno} imports inside {fn.name}"
+
+
+def test_no_assert_statements_in_the_package():
+    # a certificate must still run under python -O
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in src/syzkit: {found}"

@@ -12,8 +12,16 @@ from syzkit import linalg
 from syzkit.errors import CertificateError, UnsupportedFieldError
 from syzkit.fields import GF, QQ
 from syzkit.linalg import (CERT_PRIME, Matrix, Span, fit_hilbert_polynomial,
-                           primitive_integers, random_int_matrix, random_matrix,
-                           rank_at_least, rank_reaches)
+                           primitive_integers, random_matrix, rank_at_least,
+                           rank_reaches)
+
+
+def random_int_matrix(nrows, ncols, seed, bound=None):
+    """Seeded integer matrix over Q: entries are uniform lifts from [0, p)."""
+    p = GF().p if bound is None else bound
+    rng = random.Random(seed)
+    return Matrix(QQ, [[Fraction(rng.randrange(p)) for _ in range(ncols)]
+                       for _ in range(nrows)])
 
 
 def test_identity_rank_and_kernel():
@@ -501,3 +509,51 @@ def test_packed_rank_matches_sympy_property():
         assert not rank_reaches(field, rows, expected + 1)
 
     check()
+
+
+def test_span_over_q_rejects_ragged_rows():
+    span = Span(QQ)
+    assert span.add([1, 2, 3])
+    with pytest.raises(ValueError, match="ragged"):
+        span.add([2, 4])
+
+
+SLOT_PRIMES = (2, 3, 101, 32003, 1073741789, 2 ** 31 - 1, 2 ** 61 - 1,
+               2 ** 127 - 1)
+
+
+@pytest.mark.parametrize("ncols", (1, 2, 7, 64, 300))
+@pytest.mark.parametrize("p", SLOT_PRIMES, ids=str)
+def test_slotwise_reduction_matches_per_slot_mod_p(p, ncols):
+    # a slot of a reduced row stays below (ncols+1)*p^2 (see Span); the
+    # largest value it can reach is below (ncols+1)*(p-1)^2
+    w, mask, normalize = linalg._slots(p, ncols)
+    top = (ncols + 1) * p * p
+    worst = (ncols + 1) * (p - 1) ** 2
+    rng = random.Random(f"slots:{p}:{ncols}")
+    cases = [[worst] * ncols, [top - 1] * ncols, [p] * ncols, [0] * ncols]
+    for _ in range(25):
+        cases.append([rng.choice((0, p - 1, p, 2 * p, 3 * p - 1, worst,
+                                  top - 1, rng.randrange(p),
+                                  rng.randrange(top), rng.randrange(top)))
+                      for _ in range(ncols)])
+    for slots in cases:
+        x = sum(v << j * w for j, v in enumerate(slots))
+        y = normalize(x)
+        assert y >> ncols * w == 0
+        assert [y >> j * w & mask for j in range(ncols)] \
+            == [v % p for v in slots]
+
+
+@pytest.mark.parametrize("p", (2, 3, 257), ids=str)
+def test_slotwise_reduction_is_exact_on_every_value_below_the_bound(p):
+    # at p = 257 = 2^8 + 1 the Barrett quotient of some slots falls two
+    # short, which only the second conditional subtraction corrects
+    ncols = 7
+    w, mask, normalize = linalg._slots(p, ncols)
+    values = list(range((ncols + 1) * p * p))
+    for i in range(0, len(values), ncols):
+        slots = values[i:i + ncols]
+        y = normalize(sum(v << j * w for j, v in enumerate(slots)))
+        assert [y >> j * w & mask for j in range(len(slots))] \
+            == [v % p for v in slots]

@@ -15,7 +15,7 @@ from syzkit.errors import (CertificateError, GenericityError, InputError,
 from syzkit.fields import GF, QQ
 from syzkit.groebner import (FreeModule, Ideal, Submodule, Vec, syzygies,
                              vecs_from_polys)
-from syzkit.linalg import Matrix, rank_reaches
+from syzkit.linalg import Matrix, rank_at_least, rank_reaches
 from syzkit.polyring import GradedPoly, PolyRing
 from syzkit.resolver import (_chern_inverse, _gradient_rank_at, _gradient_rows,
                              build_chain, build_surface_kernel,
@@ -116,6 +116,27 @@ def test_integer_jacobian_rank_matches_field_jacobian(field):
             assert rank_reaches(field, rows, target) == (rank >= target)
         ranks.add(rank)
     assert {0, 1, 2, 3} <= ranks
+
+
+def test_jacobian_screen_needs_exact_rows_only_at_a_witness(monkeypatch):
+    z, _ = three_points()
+    calls = []
+    exact = resolver._gradient_rows
+
+    def spy(ring, polys, point):
+        calls.append(tuple(point))
+        return exact(ring, polys, point)
+
+    monkeypatch.setattr(resolver, "_gradient_rows", spy)
+    v = [z.ring.parse(s) for s in ("x0*x1", "x0*x2", "x1*x2")]
+    assert check_generation(v, z.ideal, points=z.points).certified
+    assert calls == []
+    # the rank at (1:0:0) reaches 2 mod p; at (0:1:0) it is 1, and only
+    # there are the exact rows built
+    v = [z.ring.parse(s) for s in ("x0*x1", "x0*x2")]
+    rep = check_generation(v, z.ideal, points=z.points)
+    assert rep.fiber_witness == ["0", "1", "0"]
+    assert calls == [(0, 1, 0)]
 
 
 def test_generation_false_by_piece_comparison_alone():
@@ -487,9 +508,9 @@ def test_fiber_witness_contradicting_piece_equality_is_rejected(monkeypatch):
     z, _ = three_points()
     v = [z.ring.parse(s) for s in ("x0*x1", "x0*x2", "x1*x2")]
     # a zero Jacobian at every point: the screen finds a witness of rank 0
-    monkeypatch.setattr(resolver, "_gradient_rows",
-                        lambda ring, polys, point: [[0] * ring.num_vars
-                                                    for _ in polys])
+    monkeypatch.setattr(resolver, "_jacobian_rows",
+                        lambda partials, powers: [[0] * len(powers)
+                                                  for _ in partials])
     with pytest.raises(CertificateError, match="fiber witness"):
         check_generation(v, z.ideal, points=z.points)
 
@@ -725,3 +746,20 @@ def test_stage_rejects_a_piece_basis_off_h0(monkeypatch):
                         lambda ideal, k: honest(ideal, k)[:-1])
     with pytest.raises(CertificateError, match="h0"):
         build_surface_kernel(z, pol)
+
+
+def test_rank_tests_and_genericity_never_unpack_span_rows(monkeypatch):
+    def unpack(self):
+        raise RuntimeError("Span.rows was read")
+
+    monkeypatch.setattr(resolver.Span, "rows", property(unpack))
+    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1], [1, 3, 4]]
+    for field in (GF(101), QQ):
+        vecs = [[field(c) for c in r] for r in rows]
+        assert rank_reaches(field, vecs, 2)
+        assert not rank_reaches(field, vecs, 3)
+        assert rank_at_least(field, vecs, 3) == 2
+    rep = genericity_experiment(2, 2, 4, trials=10, seed=0,
+                                p=1073741789)
+    assert rep["failures"] == 0
+    assert genericity_experiment(1, 2, 2, trials=5, seed=0)["failures"] == 5
