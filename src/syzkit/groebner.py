@@ -1,6 +1,7 @@
 """Graded Groebner machinery: Buchberger for ideals and free-module
-submodules, syzygies, minimal free resolutions, Betti data, staircase
-Hilbert functions, ideal quotients and saturation.
+submodules, syzygies, minimal free resolutions, Betti data, Hilbert series
+of monomial ideals and modules, bases of ideal pieces read off leading
+monomials, ideal quotients and saturation.
 
 Module elements live in a shifted free module R(-a_0) + ... + R(-a_r);
 the module order is position-over-term (lower component index dominates),
@@ -28,13 +29,14 @@ gives the proof).
 
 import heapq
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd
 
 from .errors import (BudgetError, CertificateError, HomogeneityError,
                      NonMinimalError, RingMismatchError)
 from .fields import GF, QQ, PrimeField
 from .linalg import CERT_PRIME, Span, fit_hilbert_polynomial, primitive_integers
-from .polyring import GradedPoly, multiple_rows
+from .polyring import GradedPoly, multiple_rows, multiplied_elements
 
 
 class FreeModule:
@@ -133,19 +135,6 @@ class Vec:
             out[(comp, tuple(a + b for a, b in zip(e, exps)))] = \
                 v if coeff is None else f.mul(coeff, v)
         deg = None if self._degree is None else self._degree + sum(exps)
-        return Vec(self.free, out, deg)
-
-    def mul_poly(self, poly):
-        f = self.free.ring.field
-        out = {}
-        for pe, pc in poly.coeffs.items():
-            for (comp, e), v in self.terms.items():
-                t = (comp, tuple(a + b for a, b in zip(e, pe)))
-                cur = out.get(t)
-                out[t] = f.mul(pc, v) if cur is None else f.add(cur, f.mul(pc, v))
-        deg = None
-        if self._degree is not None and poly.degree is not None:
-            deg = self._degree + poly.degree
         return Vec(self.free, out, deg)
 
     def component(self, comp):
@@ -529,26 +518,66 @@ def syzygies(vecs):
     return out
 
 
-def submodule_piece_dims(gb_leads, free, d):
-    """dim of the degree-d pieces (quotient, submodule) from the staircase
-    of the initial module."""
-    quot = 0
-    by_comp = {}
-    for comp, exps in gb_leads:
-        by_comp.setdefault(comp, []).append(exps)
-    for comp, s in enumerate(free.shifts):
-        leads = by_comp.get(comp, ())
-        for m in free.ring.monomials_of_degree(d - s):
-            if not any(_divides(le, m) for le in leads):
-                quot += 1
-    total = free.piece_dim(d)
-    return quot, total - quot
+# -- Hilbert series -------------------------------------------------------------
+
+
+def series_product(a, b):
+    """Product of Laurent polynomials in z given as {exponent: coefficient}."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return {k: c for k, c in out.items() if c}
+
+
+def hilbert_numerator(leads):
+    """{degree: coefficient} of N, no zeros, with Hilbert series N(z)/(1-z)^n
+    of R/J for the monomial ideal J the exponent tuples leads generate.
+
+    Bayer-Stillman: N(J) = N(J + (p)) + z^deg p * N(J : p) for a monomial p
+    off J.  Pure powers alone give the product of the 1 - z^deg g.  Else p =
+    x_i^e for the variable x_i in the most mixed generators and its least
+    exponent e there, off J by minimality: J + (p) is p plus the generators
+    free of x_i, and J : p lowers every exponent of x_i by e."""
+    gens = []
+    for g in sorted(set(leads), key=sum):
+        if not any(_divides(h, g) for h in gens):
+            gens.append(g)
+    mixed = [g for g in gens if sum(map(bool, g)) > 1]
+    if not mixed:
+        return reduce(series_product, [{0: 1, sum(g): -1} if sum(g) else {}
+                                       for g in gens], {0: 1})
+    counts = [sum(1 for g in mixed if g[i]) for i in range(len(mixed[0]))]
+    i = counts.index(max(counts))
+    e = min(g[i] for g in mixed if g[i])
+    out = series_product(hilbert_numerator([g for g in gens if not g[i]]),
+                         {0: 1, e: -1})
+    colon = [g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens]
+    for k, c in hilbert_numerator(colon).items():
+        out[k + e] = out.get(k + e, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def series_coefficient(numerator, nvars, d):
+    """The coefficient of z^d in N(z)/(1-z)^nvars."""
+    return sum(c * comb(d - k + nvars - 1, nvars - 1)
+               for k, c in numerator.items() if k <= d)
+
+
+def series_polynomial(numerator, nvars):
+    """(a_0..a_n): sum a_j C(k+j, j) is the coefficient of z^k in
+    N(z)/(1-z)^nvars from the top exponent of N on, where each of its terms
+    c * C(k - j + n, n) is a polynomial in k, so a fit there is exact."""
+    k0 = max(0, max(numerator, default=0))
+    return fit_hilbert_polynomial(
+        nvars - 1, range(k0, k0 + nvars),
+        lambda k: series_coefficient(numerator, nvars, k))
 
 
 class Submodule:
     """Submodule of a shifted free module with cached Groebner data: the
-    reduced basis, its leads, the staircase piece dimensions, and one
-    reducer index for every contains."""
+    reduced basis, its leads, the Hilbert-series numerator of the quotient,
+    and one reducer index for every contains."""
 
     def __init__(self, free, gens):
         self.free = free
@@ -556,7 +585,7 @@ class Submodule:
         self._gb = None
         self._leads = None
         self._reducers = None
-        self._dims = {}
+        self._numerator = None
 
     @property
     def gb(self):
@@ -584,16 +613,43 @@ class Submodule:
         a, b = self.gb, other.gb
         return len(a) == len(b) and all(x == y for x, y in zip(a, b))
 
-    def _piece_dims(self, d):
-        if d not in self._dims:
-            self._dims[d] = submodule_piece_dims(self.gb_leads(), self.free, d)
-        return self._dims[d]
+    def numerator(self):
+        """N(z) of free/self: the sum of z^shift * N(leads) by component."""
+        if self._numerator is None:
+            out = {}
+            for comp, s in enumerate(self.free.shifts):
+                leads = [e for c, e in self.gb_leads() if c == comp]
+                for k, c in hilbert_numerator(leads).items():
+                    out[k + s] = out.get(k + s, 0) + c
+            self._numerator = {k: c for k, c in out.items() if c}
+        return self._numerator
 
     def quotient_piece_dim(self, d):
-        return self._piece_dims(d)[0]
+        return series_coefficient(self.numerator(), self.free.ring.num_vars, d)
 
     def piece_dim(self, d):
-        return self._piece_dims(d)[1]
+        return self.free.piece_dim(d) - self.quotient_piece_dim(d)
+
+    def hilbert_polynomial(self):
+        """HP of free/self in the binomial basis (see series_polynomial)."""
+        return series_polynomial(self.numerator(), self.free.ring.num_vars)
+
+
+def ideal_piece_basis(ideal, k):
+    """A basis of the degree-k piece of the ideal, deterministic order: for
+    each monomial of in(I)_k, the first multiple m*g of the reduced basis,
+    in multiplied_elements order, that has it as leading monomial.  Over a
+    Groebner basis these reach every monomial of in(I)_k, and with distinct
+    leading monomials they are triangular, hence independent."""
+    out, seen = [], set()
+    for g, mons in multiplied_elements(ideal.ring, ideal.gb, k):
+        lead = g.leading()[0]
+        for m in mons:
+            e = tuple(a + b for a, b in zip(lead, m))
+            if e not in seen:
+                seen.add(e)
+                out.append(g.mul_monomial(m))
+    return out
 
 
 # -- minimal generators and resolutions ------------------------------------
@@ -738,26 +794,6 @@ class Resolution:
                 "contain unit entries")
         return max(d - i for (i, d) in self.betti())
 
-    def betti_table(self):
-        """Macaulay-style text table: columns are homological degrees,
-        rows are j - i."""
-        b = self.betti()
-        imax = max(i for i, _ in b)
-        rows = sorted({d - i for (i, d) in b})
-        cols = list(range(imax + 1))
-        totals = [sum(v for (i, d), v in b.items() if i == c) for c in cols]
-        grid = [["total:"] + [str(t) for t in totals]]
-        for r in rows:
-            line = [f"{r}:"]
-            for c in cols:
-                v = b.get((c, c + r), 0)
-                line.append(str(v) if v else ".")
-            grid.append(line)
-        head = [""] + [str(c) for c in cols]
-        widths = [max(len(row[k]) for row in [head] + grid) for k in range(len(head))]
-        fmt = lambda row: " ".join(s.rjust(w) for s, w in zip(row, widths)).rstrip()
-        return "\n".join([fmt(head)] + [fmt(row) for row in grid])
-
 
 def minimal_free_resolution(free, gens, max_length=None):
     """Minimal graded free resolution of the submodule of `free` generated
@@ -789,26 +825,13 @@ def minimal_free_resolution(free, gens, max_length=None):
 # -- ideals -----------------------------------------------------------------
 
 
-def _covers_every_variable(leads, n):
-    """Do the leads hold a unit or a pure power of each of the n variables?"""
-    if any(sum(e) == 0 for e in leads):
-        return True
-    return all(any(sum(e) == e[i] > 0 for e in leads) for i in range(n))
-
-
-def _staircase_dim(leads, n):
+def _series_dim(leads, nvars):
     """Affine Krull dimension of R/J for the monomial ideal J the leads
-    generate: the largest set of variables no lead lives in; -1 for the
-    unit ideal."""
-    if any(sum(e) == 0 for e in leads):
-        return -1
-    best = 0
-    for mask in range(1 << n):
-        sset = {i for i in range(n) if mask >> i & 1}
-        if any(all(e[i] == 0 or i in sset for i in range(n)) for e in leads):
-            continue
-        best = max(best, len(sset))
-    return best
+    generate: one past the degree of its Hilbert polynomial, 0 when that is
+    zero and R/J is not, -1 for the unit ideal."""
+    num = hilbert_numerator(leads)
+    hp = series_polynomial(num, nvars)
+    return max((j + 1 for j, a in enumerate(hp) if a), default=0 if num else -1)
 
 
 class Ideal:
@@ -844,12 +867,11 @@ class Ideal:
     def equals(self, other):
         return self.ring == other.ring and self._sub.equals(other._sub)
 
-    def reduced(self):
-        """The same ideal generated by its reduced Groebner basis, which the
-        result shares instead of recomputing."""
-        out = Ideal(self.ring, self.gb)
-        out._gb = self.gb
-        out._sub._gb = self._sub.gb
+    @classmethod
+    def on_reduced_basis(cls, ring, basis):
+        """The ideal on basis, known to be its reduced Groebner basis."""
+        out = cls(ring, basis)
+        out._sub._gb = out._vecs
         return out
 
     def is_unit(self):
@@ -864,7 +886,7 @@ class Ideal:
         return self._sub.piece_dim(d)
 
     def quotient_piece_dim(self, d):
-        """dim (R/I)_d, from the staircase of the initial ideal."""
+        """dim (R/I)_d, a coefficient of the Hilbert series of in(I)."""
         return self._sub.quotient_piece_dim(d)
 
     def sum(self, polys):
@@ -900,34 +922,34 @@ class Ideal:
         return self._leads_p
 
     def is_projectively_empty(self):
-        """True iff the vanishing locus in P^n is empty: the initial ideal
-        contains a pure power of every variable.
+        """True iff the vanishing locus in P^n is empty: the Hilbert series
+        of the initial ideal is a polynomial (dim R/I <= 0).
 
         Over Q the leads mod CERT_PRIME are read first.  The degree-N piece
         of I, and of the ideal I_p of the primitive integer generators mod
         p, is the row space of one integer matrix of degree-N multiples,
         whose rank mod p is at most its rank over Q; so HF_{R/I}(N) <=
-        HF_{R/I_p}(N) for every N.  Pure powers of every variable among the
-        leads mod p make HF_{R/I_p}, hence HF_{R/I}, vanish in high degree:
-        the locus is empty.  Only a miss computes the basis over Q."""
+        HF_{R/I_p}(N) for every N.  A polynomial series of the leads mod p
+        makes HF_{R/I_p}, hence HF_{R/I}, vanish in high degree: the locus
+        is empty.  Only a miss computes the basis over Q."""
         n = self.ring.num_vars
         leads = self._mod_p_leads()
-        if leads is not None and _covers_every_variable(leads, n):
+        if leads is not None and _series_dim(leads, n) <= 0:
             return True
-        return _covers_every_variable(self.gb_leads(), n)
+        return _series_dim(self.gb_leads(), n) <= 0
 
     def krull_dim_quotient(self):
-        """Affine Krull dimension of R/I (via the initial-ideal staircase);
-        -1 for the unit ideal."""
-        return _staircase_dim(self.gb_leads(), self.ring.num_vars)
+        """Affine Krull dimension of R/I (via the Hilbert series of the
+        initial ideal); -1 for the unit ideal."""
+        return _series_dim(self.gb_leads(), self.ring.num_vars)
 
     def krull_dim_at_most(self, bound):
-        """Is the affine Krull dimension of R/I at most bound?  Over Q a
-        staircase mod CERT_PRIME of dimension <= bound proves it: HF_{R/I}
+        """Is the affine Krull dimension of R/I at most bound?  Over Q
+        leads mod CERT_PRIME of dimension <= bound prove it: HF_{R/I}
         <= HF_{R/I_p} (see is_projectively_empty), so dim R/I <= dim R/I_p.
         Only a miss computes the basis over Q."""
         leads = self._mod_p_leads()
-        if leads is not None and _staircase_dim(leads, self.ring.num_vars) <= bound:
+        if leads is not None and _series_dim(leads, self.ring.num_vars) <= bound:
             return True
         return self.krull_dim_quotient() <= bound
 
@@ -988,25 +1010,6 @@ class Ideal:
                 out.append(acc)
         return Ideal(ring, out)
 
-    def hilbert_polynomial(self, reg=None):
-        """Integer vector (a_0..a_n): HP_{R/I}(k) = sum a_j * C(k+j, j),
-        valid for k beyond the regularity.  It is fitted past reg, a known
-        regularity (the minimal resolution's by default), and verified on
-        extra points (CertificateError if the staircase fits no such
-        polynomial there)."""
-        n = self.ring.num_vars - 1
-        if self.is_zero():
-            return tuple(1 if j == n else 0 for j in range(n + 1))
-        if reg is None:
-            reg = self.regularity()
-        k0 = max(reg, 0) + 1
-        coeffs = fit_hilbert_polynomial(n, range(k0, k0 + n + 3),
-                                        self.quotient_piece_dim)
-        if coeffs is None:
-            raise CertificateError(
-                "Hilbert function is not polynomial past the regularity",
-                regularity=reg)
-        return coeffs
-
-    def hp_value(self, k):
-        return sum(c * comb(k + j, j) for j, c in enumerate(self.hilbert_polynomial()))
+    def hilbert_polynomial(self):
+        """(a_0..a_n) with HP_{R/I}(k) = sum a_j * C(k+j, j), from in(I)."""
+        return self._sub.hilbert_polynomial()

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .errors import CertificateError, UnsupportedFieldError
-from .fields import GF, QQ, PrimeField, check_same_field
+from .fields import GF, QQ, PrimeField
 
 # the prime of the rank tests over Q: 2^31 - 1, large enough that a rank drop
 # mod p on the integer rows syzkit ranks is rare
@@ -49,13 +49,6 @@ class Matrix:
     def zeros(cls, field, nrows, ncols):
         return cls(field, [[field.zero] * ncols for _ in range(nrows)])
 
-    @classmethod
-    def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.rows[i][i] = field.one
-        return m
-
     def transpose(self):
         return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
                                    for j in range(self.ncols)])
@@ -66,17 +59,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
-
-    def mul(self, other):
-        check_same_field(self.field, other.field, "matrix product")
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        f = self.field
-        out = []
-        bt = other.transpose().rows
-        for row in self.rows:
-            out.append([_dot(f, row, col) for col in bt])
-        return Matrix(f, out)
 
     def mul_vector(self, vec):
         f = self.field

@@ -14,11 +14,11 @@ from itertools import combinations
 from math import comb
 
 from .chow import KClass
-from .errors import BudgetError, CertificateError, InputError
+from .errors import CertificateError, InputError
 from .fields import GF
 from .groebner import (FreeModule, Ideal, PolyMatrix, Submodule, Vec,
                        minimal_generators, syzygies)
-from .linalg import Matrix, fit_hilbert_polynomial
+from .linalg import Matrix
 
 
 class GradedModulePresentation:
@@ -46,10 +46,6 @@ class GradedModulePresentation:
         return cls(free.ring, tuple(v.degree for v in mgens), rels,
                    ambient=free, embedding=mgens)
 
-    @classmethod
-    def free_module(cls, ring, shifts):
-        return cls(ring, shifts, [])
-
     @property
     def num_gens(self):
         return len(self.gen_shifts)
@@ -63,38 +59,16 @@ class GradedModulePresentation:
         return self._rel_sub
 
     def piece_dim(self, d):
-        """dim M_d = dim (F0)_d - dim (im A)_d, by the staircase."""
-        if not self.relations:
-            return self.free.piece_dim(d)
+        """dim M_d, a coefficient of the Hilbert series of F0/in(im A)."""
         return self._relation_sub().quotient_piece_dim(d)
 
     def is_zero_module(self):
-        if not self.gen_shifts:
-            return True
-        sub = self._relation_sub()
-        return all(any(g.lead()[0] == c and sum(g.lead()[1]) == 0 for g in sub.gb)
-                   for c in range(self.free.rank))
+        """M = 0 iff its Hilbert series, hence its numerator, is 0."""
+        return not self._relation_sub().numerator()
 
-    def max_degree(self):
-        out = max(self.gen_shifts, default=0)
-        for r in self.relations:
-            out = max(out, r.degree)
-        return out
-
-    def hilbert_polynomial(self, cap=40):
-        """Binomial-basis integer vector of the Hilbert polynomial,
-        located by fitting past the generator/relation degrees and
-        verified on three extra values."""
-        n = self.ring.num_vars - 1
-        base = max(self.max_degree(), 0) + 1
-        while base <= cap:
-            coeffs = fit_hilbert_polynomial(n, range(base, base + n + 4),
-                                            self.piece_dim)
-            if coeffs is not None:
-                return coeffs
-            base += n + 1
-        raise BudgetError("Hilbert polynomial did not stabilize under the cap",
-                          cap=cap)
+    def hilbert_polynomial(self):
+        """The Hilbert polynomial in the binomial basis (series_polynomial)."""
+        return self._relation_sub().hilbert_polynomial()
 
     def kclass(self):
         return KClass(self.ring.num_vars - 1, self.hilbert_polynomial())

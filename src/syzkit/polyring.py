@@ -358,6 +358,17 @@ def integer_powers(point, top):
     return [[x ** k for k in range(top + 1)] for x in primitive_integers(point)]
 
 
+def form_value(terms, powers):
+    """The value of the (exps, coefficient) terms at a point, given as the
+    powers of its coordinates: integer_powers, or residues of them."""
+    val = 0
+    for e, c in terms:
+        for pw, k in zip(powers, e):
+            c *= pw[k]
+        val += c
+    return val
+
+
 def vanish_at(polys, points):
     """True when every form vanishes at every point.  The work is in
     integers: each form is scaled to primitive integer coefficients and
@@ -374,11 +385,7 @@ def vanish_at(polys, points):
     for point in points:
         powers = integer_powers(point, top)
         for terms in forms:
-            val = 0
-            for e, c in terms:
-                for pw, k in zip(powers, e):
-                    c *= pw[k]
-                val += c
+            val = form_value(terms, powers)
             if val if p is None else val % p:
                 return False
     return True

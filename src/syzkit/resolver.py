@@ -20,12 +20,12 @@ from .curves import (CurveBundleInvariants, butler_kernel_invariants,
 from .errors import (CertificateError, GenericityError, HypothesisError,
                      InputError, SpecialityError, ThresholdError)
 from .fields import DEFAULT_PRIME, GF, QQ, PrimeField
-from .groebner import FreeModule, Ideal, PolyMatrix, Vec
+from .groebner import FreeModule, Ideal, PolyMatrix, Vec, ideal_piece_basis
 from .linalg import (CERT_PRIME, Matrix, Span, primitive_integers,
                      rank_at_least, rank_reaches)
 from .modtools import GradedModulePresentation, certify_locally_free, hoppe_check
-from .polyring import (PolyRing, integer_powers, multiple_rows,
-                       multiplied_elements, piece_multiples, vanish_at)
+from .polyring import (PolyRing, form_value, integer_powers, multiple_rows,
+                       piece_multiples, vanish_at)
 from .schemes import (Polarization, SubschemeData, curve_sections,
                       h0_ideal_twist, h1_ideal_twist, restrict_to_curve,
                       restriction_kernel)
@@ -33,19 +33,6 @@ from .schemes import (Polarization, SubschemeData, curve_sections,
 RETRY_BUDGET = 8
 TWIST_CAP_FACTOR = 10
 PRESENTATION_BUDGET = 12
-
-
-def ideal_piece_basis(ideal, k):
-    """A basis of the degree-k piece of the ideal, deterministic order: the
-    multiples of the Groebner basis whose integer rows grow a Span, formed
-    as polynomials only once picked."""
-    ring = ideal.ring
-    span = Span(ring.field)
-    pairs = [(g, m) for g, mons in multiplied_elements(ring, ideal.gb, k)
-             for m in mons]
-    picked = [i for i, row in enumerate(multiple_rows(ring, ideal.gb, k))
-              if span.add(row)]
-    return [pairs[i][0].mul_monomial(pairs[i][1]) for i in picked]
 
 
 # -- generation certificates --------------------------------------------------
@@ -85,7 +72,7 @@ class GenerationReport:
 
 
 def _partials(ring, polys):
-    """Per form, per variable, the terms (c * e_i, e - unit_i) of the
+    """Per form, per variable, the terms (e - unit_i, c * e_i) of the
     partial derivative of the form scaled to primitive integer
     coefficients.  The scaling multiplies a Jacobian row by a nonzero
     constant, so no rank changes; over F_p the coefficients already are
@@ -93,7 +80,7 @@ def _partials(ring, polys):
     out = []
     for f in polys:
         terms = list(zip(f.coeffs, primitive_integers(list(f.coeffs.values()))))
-        out.append([[(c * e[i], e[:i] + (e[i] - 1,) + e[i + 1:])
+        out.append([[(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
                      for e, c in terms if e[i]] for i in range(ring.num_vars)])
     return out
 
@@ -102,15 +89,7 @@ def _jacobian_rows(partials, powers):
     """The Jacobian rows at a point, one form at a time, from the powers of
     its coordinates (exact integers, or residues mod a prime)."""
     for form in partials:
-        row = []
-        for terms in form:
-            acc = 0
-            for c, e in terms:
-                for pw, k in zip(powers, e):
-                    c *= pw[k]
-                acc += c
-            row.append(acc)
-        yield row
+        yield [form_value(terms, powers) for terms in form]
 
 
 def _gradient_rows(ring, polys, point):
@@ -119,11 +98,6 @@ def _gradient_rows(ring, polys, point):
     rescaling, which multiplies a row by a nonzero constant)."""
     powers = integer_powers(point, max(p.degree for p in polys) - 1)
     return list(_jacobian_rows(_partials(ring, polys), powers))
-
-
-def _gradient_rank_at(ring, polys, point):
-    """Rank of the Jacobian of the polys at a point where they all vanish."""
-    return Matrix(ring.field, _gradient_rows(ring, polys, point)).rank()
 
 
 def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
@@ -326,7 +300,7 @@ def _draw_curve_forms(rng, z, d, count, tries=40):
             continue
         # Krull's principal ideal theorem gives dim R/(forms) >= n + 1 -
         # count, so the forms cut a complete intersection iff it is at most
-        # that; a staircase mod p that reaches it is a proof, since
+        # that; a dimension mod p that reaches it is a proof, since
         # HF_{R/(forms)} <= HF_{R/(forms mod p)} (Ideal.is_projectively_empty)
         if not Ideal(ring, forms).krull_dim_at_most(ring.num_vars - count):
             continue
@@ -336,16 +310,10 @@ def _draw_curve_forms(rng, z, d, count, tries=40):
 
 
 def _ci_restriction(z, v_basis, forms):
-    """(injective, image_dim) of V -> H^0(C, O_C) for C = V(forms).
-
-    The kernel is V cap (forms)_md: sections vanishing on the complete
-    intersection curve; computed by three rank computations, with
-    dim (forms)_md bounding the rank of its spanning multiples.
-    """
-    ci = Ideal(z.ring, forms)
-    md = v_basis[0].degree
-    return restriction_kernel(v_basis, piece_multiples(z.ring, ci.gb, md),
-                              ci.piece_dim(md))
+    """(injective, image_dim) of V -> H^0(C, O_C) for C = V(forms): the
+    kernel is V cap (forms)_md, against ideal_piece_basis of (forms)_md."""
+    return restriction_kernel(v_basis, ideal_piece_basis(Ideal(z.ring, forms),
+                                                         v_basis[0].degree))
 
 
 def _feasible_twist(z, pol, policy, mm):
@@ -735,6 +703,13 @@ def build_chain(z, pol, mode="numeric", seed=0, p=None, m_list=None,
     n = pol.n
     if z.n != n:
         raise InputError("ambient mismatch", z_n=z.n, pol_n=n)
+    if mode == "module" and n == 3 and z.proj_dim == 0:
+        # R/(I_Z + f_1) has finite length once f_1 avoids Z, so f_2 is a
+        # zero divisor on it for every draw
+        raise HypothesisError(
+            "module mode on P^3 needs the curve forms to be a regular "
+            "sequence on R/I_Z, which no pair of forms is for a "
+            "zero-dimensional Z", degree=z.degree)
     d = pol.d
     m0 = m_list[0] if m_list else None
     stage0 = _build_kernel_stage(z, pol, m=m0, policy=policy, seed=seed,

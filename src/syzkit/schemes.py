@@ -1,6 +1,6 @@
 """Concrete subschemes of P^n: saturated ideals with cached Hilbert data,
-vanishing ideals of reduced point sets from the kernels of monomial
-evaluation matrices (Buchberger-Moller), section counts of twisted ideal
+vanishing ideals of reduced point sets read off the kernels of monomial
+evaluation matrices, section counts of twisted ideal
 sheaves, the h1 closed form for point sets on the plane, Riemann-Roch
 section counts on polarization curves, and the restriction-to-curve
 injectivity test.
@@ -17,9 +17,10 @@ from .errors import (CertificateError, CodimensionError,
                      GeometricPositionError, InputError, NotSaturatedError,
                      SpecialityError)
 from .fields import QQ
-from .groebner import Ideal
+from .groebner import (Ideal, hilbert_numerator, ideal_piece_basis,
+                       series_product)
 from .linalg import Matrix, rank_at_least
-from .polyring import PolyRing, piece_multiples, vanish_at
+from .polyring import PolyRing, form_value, integer_powers, vanish_at
 
 
 class Polarization:
@@ -50,15 +51,18 @@ class Polarization:
 
 
 def points_ideal(ring, points):
-    """Saturated vanishing ideal of a reduced point set, by Buchberger-Moller:
-    the degree-t piece of I_Z is the kernel of the evaluation matrix of the
-    degree-t monomials at the points.  With t0 the first degree where that
-    matrix has full rank #points, reg(I_Z) = t0 + 1 (R/I_Z is
-    Cohen-Macaulay of dimension 1), so the pieces up to t0 + 1 generate
-    I_Z.  Certified by comparing the staircase of the result with the
-    evaluation ranks in every computed degree (CertificateError otherwise):
-    the result agrees with I_Z up to reg(I_Z), so it is I_Z, and saturated.
-    Returns the ideal on its reduced Groebner basis."""
+    """Saturated vanishing ideal of a reduced point set, read off its
+    evaluation kernels (Abbott, Bigatti, Kreuzer and Robbiano, 2000).
+    (I_Z)_t is the kernel of the degree-t monomials evaluated at the points,
+    in integers by integer_powers (a row scaling).  The columns ascend, so
+    the pivots are the standard monomials and each kernel vector is its free
+    column, a lead of I_Z, over standard monomials: made monic, a reduced
+    Groebner basis element, kept unless an earlier lead divides its lead.
+    HF_{R/I_Z}(t) is the evaluation rank, #points from the first full-rank
+    degree t0 on, so R/I_Z has series numerator (1-z)^n * ΔHF; the leads lie
+    in in(I_Z) and generate it once their numerator is that one.  Gotzmann
+    persistence bounds the leads' degrees by max(#points, t0) = #points;
+    past that a CertificateError is raised."""
     f = ring.field
     pts = []
     seen = set()
@@ -75,23 +79,30 @@ def points_ideal(ring, points):
         pts.append(cp)
     if not pts:
         return Ideal(ring, [ring.one()])
-    ranks = [1]  # the constants: HF(0) = 1
-    gens = []
+    n = ring.num_vars - 1
+    powers = [integer_powers(p, len(pts)) for p in pts]
+    hf, leads, basis = [1], [], []
     for t in count(1):
-        mons = ring.monomials_of_degree(t)
-        values = [[ring.monomial(e).evaluate(p) for e in mons] for p in pts]
+        mons = ring.monomials_of_degree(t)[::-1]
+        values = [[form_value([(e, 1)], pw) for e in mons] for pw in powers]
         rank, kernel = Matrix(f, values).rank_and_kernel()
-        ranks.append(rank)
-        gens += [ring.from_terms(zip(mons, v), degree=t) for v in kernel]
-        if ranks[t - 1] == len(pts):  # t = t0 + 1 = reg(I_Z)
+        hf.append(rank)
+        for w in kernel:
+            j = max(i for i, c in enumerate(w) if c)
+            if not any(all(a <= b for a, b in zip(le, mons[j])) for le in leads):
+                leads.append(mons[j])
+                basis.append(ring.from_terms(
+                    ((e, f.div(c, w[j])) for e, c in zip(mons, w) if c),
+                    degree=t))
+        delta = {k: b - a for k, (a, b) in enumerate(zip([0] + hf, hf))}
+        if rank == len(pts) and hilbert_numerator(leads) == series_product(
+                delta, {i: (-1) ** i * comb(n, i) for i in range(n + 1)}):
             break
-    ideal = Ideal(ring, gens)
-    for t, rank in enumerate(ranks):
-        if ideal.quotient_piece_dim(t) != rank:
-            raise CertificateError(
-                "point ideal misses the evaluation rank", degree=t,
-                staircase=ideal.quotient_piece_dim(t), rank=rank)
-    return ideal.reduced()
+        if t >= len(pts):
+            raise CertificateError("point ideal misses the evaluation rank",
+                                   degree=t, rank=rank, points=len(pts))
+    basis.sort(key=lambda g: ring.descending_key(g.leading()[0]))
+    return Ideal.on_reduced_basis(ring, basis)
 
 
 class SubschemeData:
@@ -111,7 +122,7 @@ class SubschemeData:
     constant from then on, since a linear form off Z is a nonzerodivisor;
     and R/I_Z is Cohen-Macaulay of dimension 1, so reg I_Z is one past that
     plateau.  Curves take the regularity of the minimal free resolution.
-    The Hilbert polynomial is fitted past the regularity."""
+    The Hilbert polynomial is read off the Hilbert series."""
 
     def __init__(self, ring, gens, points=None, name=None, saturated=False):
         """gens: generating polynomials, or an Ideal used as it is.
@@ -162,7 +173,7 @@ class SubschemeData:
 
     def hilbert_polynomial(self):
         if self._hp is None:
-            self._hp = self.ideal.hilbert_polynomial(reg=self.regularity())
+            self._hp = self.ideal.hilbert_polynomial()
         return self._hp
 
     @property
@@ -249,8 +260,7 @@ def restrict_to_curve(z, v_basis, f):
     V ∩ f·(I_Z)_{md-deg f} (f is a nonzerodivisor mod the saturated ideal
     once C ∩ Z = ∅, which is checked first).  Membership of V in I_Z is
     checked by SubschemeData.contains, by evaluation for points.  R is a
-    domain, so f·(I_Z)_{md-deg f} has dimension dim (I_Z)_{md-deg f}, the
-    bound restriction_kernel certifies its rank against."""
+    domain, so f times ideal_piece_basis is a basis of f·(I_Z)_{md-deg f}."""
     field = z.ring.field
     if not v_basis:
         return True, 0
@@ -269,22 +279,17 @@ def restrict_to_curve(z, v_basis, f):
         if not meet.is_projectively_empty():
             raise GeometricPositionError("curve meets the subscheme")
 
-    lower_degree = target - f.degree
-    lower = piece_multiples(z.ring, z.ideal.gb, lower_degree)
-    return restriction_kernel(v_basis, [f * g for g in lower],
-                              z.ideal.piece_dim(lower_degree))
+    lower = ideal_piece_basis(z.ideal, target - f.degree)
+    return restriction_kernel(v_basis, [f * g for g in lower])
 
 
-def restriction_kernel(v_basis, w_polys, w_bound=None):
-    """(injective, image_dim) of V -> S_md / span(W) for a basis of V and
-    polynomials W of the same degree md.  The kernel is V ∩ span(W), of
-    dimension rank V + rank W - rank(V + W).
-
-    Each rank is a rank_at_least against a proven bound: #V for V, w_bound
-    (default #W) for W, and rank V + rank W for the union, so Bareiss over
-    Q runs only when a mod-p rank misses its bound.  The rows come from
-    to_vector, not polyring.multiple_rows: the API takes polynomials, and
-    restrict_to_curve passes products f*g, not monomial multiples."""
+def restriction_kernel(v_basis, w_basis):
+    """(injective, image_dim) of V -> S_md / span(W) for bases V and W of
+    degree-md polynomials: the kernel V ∩ span(W) has dimension #V + #W -
+    rank(V + W).  #V and rank(V + W) <= #V + #W are rank_at_least checks, so
+    Bareiss over Q runs only when a mod-p rank misses its bound.  The rows
+    come from to_vector: restrict_to_curve passes products f*g, not
+    monomial multiples."""
     ring = v_basis[0].ring
     field = ring.field
     md = v_basis[0].degree
@@ -293,14 +298,11 @@ def restriction_kernel(v_basis, w_polys, w_bound=None):
     if rank_v != len(v_basis):
         raise CertificateError("section basis is linearly dependent",
                                rank=rank_v, size=len(v_basis))
-    if not w_polys:
+    if not w_basis:
         return True, rank_v
-    w_rows = [ring.to_vector(p, md) for p in w_polys]
-    if w_bound is None:
-        w_bound = len(w_rows)
-    rank_w = rank_at_least(field, w_rows, w_bound)
-    rank_union = rank_at_least(field, v_rows + w_rows, rank_v + rank_w)
-    kernel = rank_v + rank_w - rank_union
+    w_rows = [ring.to_vector(p, md) for p in w_basis]
+    rank_union = rank_at_least(field, v_rows + w_rows, rank_v + len(w_rows))
+    kernel = rank_v + len(w_rows) - rank_union
     return kernel == 0, rank_v - kernel
 
 

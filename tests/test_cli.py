@@ -262,6 +262,25 @@ def _random_ideal_file(seed, n, d, count):
     return "\n".join(lines) + "\n"
 
 
+def test_module_mode_rejects_points_in_p3_up_front(capsys, monkeypatch,
+                                                   tmp_path):
+    """For points Z in P^3, R/(I_Z + f_1) has finite length, so f_2 is a zero
+    divisor on it for every seed: a hypothesis violation, not a reseed."""
+    import syzkit.resolver as resolver
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("stage 0 was built")
+
+    monkeypatch.setattr(resolver, "_build_kernel_stage", no_stage)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p3-5.txt").write_text(_random_point_file(1, 3, 2, 5))
+    code, out = run(capsys, "resolve", "--input", "p3-5.txt", "--mode", "module")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["code"] == "hypothesis-violation"
+    assert "hint" not in payload
+
+
 # stdout SHA-256 of these resolves, frozen before point schemes were answered
 # from their evaluation data (each took about 28 s then)
 @pytest.mark.parametrize("name,n,d,count,digest", [

@@ -28,6 +28,11 @@ def x_exp(i, e=1, n=3):
     return tuple(e if j == i else 0 for j in range(n))
 
 
+def free_module(ring, shifts):
+    """The free module on generators of the given degrees, no relations."""
+    return GradedModulePresentation(ring, shifts, [])
+
+
 def present_r_mod_x(ring, power=1):
     free = FreeModule(ring, (0,))
     return GradedModulePresentation(
@@ -79,7 +84,7 @@ def test_resplit_zero_on_assorted_modules():
     cases = [
         GradedModulePresentation(ring, (0, 0),
                                  [rel(free2, {(0, x_exp(1)): 1}, degree=1)]),
-        GradedModulePresentation.free_module(ring, (0, 2)),
+        free_module(ring, (0, 2)),
         present_r_mod_x(ring),
     ]
     for m in cases:
@@ -90,7 +95,7 @@ def test_resplit_zero_on_assorted_modules():
 
 def test_certify_free_module():
     ring = ring3()
-    m = GradedModulePresentation.free_module(ring, (1, 0))  # O(-1) + O
+    m = free_module(ring, (1, 0))  # O(-1) + O
     verdict = certify_locally_free(m)
     assert verdict == ("locally-free", 2)
 
@@ -217,7 +222,7 @@ def test_hoppe_never_claims_instability():
 
 def test_filtration_free_module():
     ring = ring3()
-    m = GradedModulePresentation.free_module(ring, (0, 0))
+    m = free_module(ring, (0, 0))
     report = filtration_report(m)
     assert len(report) == 1
     assert report[0]["kind"] == "free"
@@ -290,7 +295,7 @@ def test_kernel_of_matrix_koszul():
 
 def test_dual_generators_of_free_module():
     ring = ring3()
-    m = GradedModulePresentation.free_module(ring, (0, 0))
+    m = free_module(ring, (0, 0))
     duals = dual_generators(m)
     assert len(duals) == 2
 
@@ -310,7 +315,7 @@ def test_presentation_hilbert_data():
     m = present_r_mod_x(ring)
     assert m.hilbert_polynomial() == (0, 1, 0)  # chi(k) = k + 1
     assert m.generic_rank() == 0
-    full = GradedModulePresentation.free_module(ring, (0,))
+    full = free_module(ring, (0,))
     assert full.hilbert_polynomial() == (0, 0, 1)
     assert full.generic_rank() == 1
     tw = full.twist(-1)  # O(-1)
@@ -320,7 +325,7 @@ def test_presentation_hilbert_data():
 
 def test_presentation_hilbert_polynomial_retries_past_irregular_values():
     ring = PolyRing(QQ, 2)
-    pres = GradedModulePresentation.free_module(ring, (0,))
+    pres = free_module(ring, (0,))
     # a Hilbert function that reaches its polynomial k + 1 only from k = 3:
     # the first fit window fails its check points and the next one is used
     pres.piece_dim = lambda k: k + 1 if k >= 3 else 7

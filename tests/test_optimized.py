@@ -1,7 +1,7 @@
 """The exact certificates must not depend on `assert`: the linear-algebra,
 polynomial, Groebner, Chow, subscheme, resolver, module and curve suites,
-and the CLI suite with its frozen report digests, also pass when Python
-runs with -O."""
+the CLI suite with its frozen report digests, and the end-to-end acceptance
+certificates also pass when Python runs with -O."""
 
 import os
 import pathlib
@@ -21,6 +21,7 @@ def test_certificate_suites_pass_under_python_O():
          "tests/test_linalg.py", "tests/test_polyring.py",
          "tests/test_groebner.py", "tests/test_chow.py", "tests/test_schemes.py",
          "tests/test_resolver.py", "tests/test_modtools.py",
-         "tests/test_curves.py", "tests/test_cli.py"],
+         "tests/test_curves.py", "tests/test_cli.py",
+         "tests/test_acceptance.py"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -17,7 +17,7 @@ from syzkit.groebner import (FreeModule, Ideal, Submodule, Vec, syzygies,
                              vecs_from_polys)
 from syzkit.linalg import Matrix, rank_at_least, rank_reaches
 from syzkit.polyring import GradedPoly, PolyRing
-from syzkit.resolver import (_chern_inverse, _gradient_rank_at, _gradient_rows,
+from syzkit.resolver import (_chern_inverse, _gradient_rows,
                              build_chain, build_surface_kernel,
                              chain_character_residual,
                              check_generation, genericity_experiment,
@@ -72,6 +72,11 @@ def _field_jacobian_rank(ring, polys, point):
             row.append(acc)
         rows.append(row)
     return Matrix(f, rows).rank()
+
+
+def _gradient_rank_at(ring, polys, point):
+    """Rank of the integer Jacobian rows of the polys at a point."""
+    return Matrix(ring.field, _gradient_rows(ring, polys, point)).rank()
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3), GF(101)], ids=str)

@@ -10,7 +10,8 @@ from syzkit.errors import (CertificateError, CodimensionError,
                            GeometricPositionError, InputError,
                            NotSaturatedError, SpecialityError)
 from syzkit.fields import GF, QQ
-from syzkit.groebner import Ideal
+from syzkit import groebner, linalg
+from syzkit.groebner import Ideal, ideal_piece_basis
 from syzkit.linalg import Matrix
 from syzkit.polyring import PolyRing, piece_multiples
 from syzkit.schemes import (BUILTIN_NAMES, Polarization, SubschemeData,
@@ -359,6 +360,49 @@ def test_points_ideal_certificate_rejects_a_missing_kernel_vector(monkeypatch):
         points_ideal(ring, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
+@pytest.mark.parametrize("n,field", [(3, QQ), (4, QQ), (3, GF(101))],
+                         ids=["P2-QQ", "P3-QQ", "P2-GF101"])
+def test_points_ideal_runs_no_buchberger(monkeypatch, n, field):
+    ring = PolyRing(field, n)
+    rng = random.Random(f"no-buchberger:{n}:{field!r}")
+    cases = [_random_reduced_points(rng, n, size, field) for size in (1, 4, 7)]
+    expected = [[g.to_str() for g in _intersection_oracle(ring, pts)]
+                for pts in cases]
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("buchberger ran")
+
+    monkeypatch.setattr(groebner, "buchberger", forbidden)
+    for pts, want in zip(cases, expected):
+        ideal = points_ideal(ring, pts)
+        assert [g.to_str() for g in ideal.gb] == want
+        assert ideal.quotient_piece_dim(len(pts)) == len(pts)
+        assert ideal.hilbert_polynomial() == (len(pts),) + (0,) * (n - 1)
+
+
+def test_ideal_piece_basis_builds_no_span(monkeypatch):
+    z = three_points()
+    tc, _ = builtin_subscheme("twisted-cubic")
+    ideals = [z.ideal, tc.ideal, Ideal(z.ring, [z.ring.parse("x0^2 + x1*x2")])]
+    for ideal in ideals:
+        ideal.gb  # the basis itself may take a Span
+    wanted = {id(ideal): [ideal.piece_dim(k) for k in range(7)]
+              for ideal in ideals}
+
+    class NoSpan:
+        def __init__(self, *args):
+            raise RuntimeError("a Span was built")
+
+    monkeypatch.setattr(groebner, "Span", NoSpan)
+    monkeypatch.setattr(linalg, "Span", NoSpan)
+    for ideal in ideals:
+        for k in range(7):
+            basis = ideal_piece_basis(ideal, k)
+            assert len(basis) == wanted[id(ideal)][k]
+            leads = [b.leading()[0] for b in basis]
+            assert len(set(leads)) == len(leads)  # triangular, so independent
+
+
 def test_subscheme_certifies_point_count():
     z = three_points()
     with pytest.raises(CertificateError, match="point count"):
@@ -422,9 +466,9 @@ def test_h1_rejects_a_negative_count():
 
 def test_hilbert_polynomial_rejects_a_fit_below_the_regularity():
     ring = PolyRing(QQ, 3)
-    # four collinear points: HF = 1, 2, 3, 4, 4, ... and reg = 4
+    # four collinear points: HF = 1, 2, 3, 4, 4, ... and reg = 4; the
+    # polynomial is read off the Hilbert series past its numerator's top
+    # exponent, so no fit below the regularity is possible
     ideal = points_ideal(ring, [(1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 2, 0)])
-    assert ideal.hilbert_polynomial(reg=4) == (4, 0, 0)
-    with pytest.raises(CertificateError, match="not polynomial"):
-        ideal.hilbert_polynomial(reg=0)
+    assert ideal.hilbert_polynomial() == (4, 0, 0)
 
