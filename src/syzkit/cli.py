@@ -13,6 +13,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .chow import ChernVector, ChowClass, bezout_h2, c_from_ch, ch_from_c
 from .curves import CurveBundleInvariants, butler_kernel_invariants
@@ -193,7 +194,10 @@ def _config_echo(args, command):
     return cfg
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process.  --p defaults to None:
+    main reads SYZKIT_PRIME on each call."""
     parser = argparse.ArgumentParser(
         prog="syzkit",
         description="exact evaluation-kernel resolutions of ideal sheaves "
@@ -201,8 +205,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--p", type=int, default=_env_prime(),
-                        help="prime for generic sampling (env SYZKIT_PRIME)")
+        sp.add_argument("--p", type=int,
+                        help="prime for generic sampling (default: env "
+                             f"SYZKIT_PRIME, else {DEFAULT_PRIME})")
         sp.add_argument("--seed", default="0", help="seed string")
         sp.add_argument("--format", choices=("json", "text"), default="json")
 
@@ -248,6 +253,8 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
+        if args.p is None:
+            args.p = _env_prime()
         return args.func(args)
     except SyzkitError as exc:
         payload = exc.payload()

@@ -35,8 +35,9 @@ from math import comb, gcd
 from .errors import (BudgetError, CertificateError, HomogeneityError,
                      NonMinimalError, RingMismatchError)
 from .fields import GF, QQ, PrimeField
-from .linalg import CERT_PRIME, Span, fit_hilbert_polynomial, primitive_integers
-from .polyring import GradedPoly, multiple_rows, multiplied_elements
+from .linalg import CERT_PRIME, Span, fit_hilbert_polynomial
+from .polyring import (GradedPoly, integer_terms, modulus, multiple_rows,
+                       multiplied_elements)
 
 
 class FreeModule:
@@ -178,18 +179,6 @@ def vecs_from_polys(ring, polys):
 
 
 # -- integer terms -----------------------------------------------------------
-
-
-def _modulus(field):
-    """p over F_p, None over Q: what the integer terms are taken modulo."""
-    return field.p if isinstance(field, PrimeField) else None
-
-
-def _int_terms(vec, p):
-    """vec's terms as ints: residues over F_p, primitive integers over Q."""
-    if p is not None:
-        return dict(vec.terms)
-    return dict(zip(vec.terms, primitive_integers(list(vec.terms.values()))))
 
 
 def _to_vec(free, terms, p, lc=1, degree=None):
@@ -421,9 +410,10 @@ def normal_form(vec, basis):
     if vec.is_zero():
         return vec
     free = vec.free
-    p = _modulus(free.ring.field)
+    p = modulus(free.ring.field)
     desc = free.ring.descending_key
-    rem = _reduce_full(_int_terms(vec, p), _reducers_of(basis, p, desc), desc)
+    rem = _reduce_full(integer_terms(vec.terms, p),
+                       _reducers_of(basis, p, desc), desc)
     return _to_vec(free, rem, p, degree=vec.degree)
 
 
@@ -432,7 +422,7 @@ def _reducers_of(vecs, p, desc):
     reducers = _Reducers(p)
     for v in vecs:
         if not v.is_zero():
-            terms = _int_terms(v, p)
+            terms = integer_terms(v.terms, p)
             reducers.add(terms, _normalize(terms, p, desc))
     return reducers
 
@@ -450,8 +440,8 @@ def buchberger(vecs, interreduce=False):
     for v in vecs:
         if v.free != free:
             raise RingMismatchError("module elements from different free modules")
-    p = _modulus(free.ring.field)
-    elems = [_int_terms(v, p) for v in vecs]
+    p = modulus(free.ring.field)
+    elems = [integer_terms(v.terms, p) for v in vecs]
     if interreduce:
         elems = _interreduce(free, elems, p)
     return [_to_vec(free, t, p) for t in _groebner(free, elems, p)]
@@ -464,9 +454,9 @@ def reduced_basis(gb):
     if not gb:
         return []
     free = gb[0].free
-    p = _modulus(free.ring.field)
+    p = modulus(free.ring.field)
     desc = free.ring.descending_key
-    elems = [_int_terms(g, p) for g in gb]
+    elems = [integer_terms(g.terms, p) for g in gb]
     leads = [_normalize(t, p, desc) for t in elems]
     keep = []
     for i, (ci, ei) in enumerate(leads):
@@ -601,11 +591,11 @@ class Submodule:
     def contains(self, vec):
         if vec.is_zero():
             return True
-        p = _modulus(self.free.ring.field)
+        p = modulus(self.free.ring.field)
         desc = self.free.ring.descending_key
         if self._reducers is None:
             self._reducers = _reducers_of(self.gb, p, desc)
-        return not _reduce_full(_int_terms(vec, p), self._reducers, desc)
+        return not _reduce_full(integer_terms(vec.terms, p), self._reducers, desc)
 
     def equals(self, other):
         if self.free != other.free:
@@ -913,7 +903,8 @@ class Ideal:
             p = CERT_PRIME
             elems = []
             for v in self._vecs:
-                terms = {t: c % p for t, c in _int_terms(v, None).items() if c % p}
+                terms = {t: c % p for t, c in
+                         integer_terms(v.terms, None).items() if c % p}
                 if terms:
                     elems.append(terms)
             desc = self.ring.descending_key

@@ -17,7 +17,8 @@ residue at once (the slot width is argued at Span).
 
 rank_reaches is the one test "is the rank at least target?"; over Q a
 rank mod CERT_PRIME that reaches target proves it, and Bareiss runs only
-on a miss.  rank_at_least is the exact rank under a proven upper bound.
+on a miss.  Rows that already are ints (the integer rows polyring builds)
+are ranked as they are, with no second scaling.  rank_at_least is the exact rank under a proven upper bound.
 """
 
 import random
@@ -44,14 +45,6 @@ class Matrix:
         for r in self.rows:
             if len(r) != self.ncols:
                 raise ValueError("ragged rows")
-
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)])
-
-    def transpose(self):
-        return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                   for j in range(self.ncols)])
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
@@ -377,20 +370,28 @@ class Span:
         return True
 
 
+def _integer_rows(rows):
+    """Rational rows as integers for a rank mod p: a row of ints as it is,
+    any other scaled to primitive integers.  Each row changes by a nonzero
+    scalar only, and the rank mod p of integer rows is at most their rank
+    over Q, whatever the scaling."""
+    return [r if set(map(type, r)) <= {int} else primitive_integers(r)
+            for r in rows]
+
+
 def rank_reaches(field, rows, target):
     """Is the rank of rows over the field at least target?
 
     False at once when there are fewer rows than target.  Over F_p the rows
     go forward-only through one Span, which stops with True once it holds
     target rows and with False once the rows left cannot bring it there.
-    Over Q each row is scaled to primitive integers and ranked that way mod
-    CERT_PRIME: rank mod p <= rank over Q, so reaching target is a proof,
-    and only a miss is decided by Bareiss."""
+    Over Q the _integer_rows are ranked mod CERT_PRIME: rank mod p <= rank
+    over Q, so reaching target is a proof, and only a miss is decided by
+    Bareiss."""
     if len(rows) < target:
         return False
     if not isinstance(field, PrimeField):
-        ints = [primitive_integers(r) for r in rows]
-        return (rank_reaches(GF(CERT_PRIME), ints, target)
+        return (rank_reaches(GF(CERT_PRIME), _integer_rows(rows), target)
                 or Matrix(field, rows).rank() >= target)
     span = Span(field)
     left = len(rows)
@@ -407,15 +408,14 @@ def rank_at_least(field, rows, bound):
     """The exact rank of rows over the field, given a proven upper bound.
 
     rank_reaches settles the common case, the rank reaching the bound, in
-    one forward pass mod p (over Q on primitive integer rows mod
-    CERT_PRIME).  On a miss the rank is counted exactly: by Bareiss over Q,
-    by a full forward pass over F_p."""
+    one forward pass mod p (over Q on the _integer_rows mod CERT_PRIME).
+    On a miss the rank is counted exactly: by Bareiss over Q, by a full
+    forward pass over F_p."""
     if isinstance(field, PrimeField):
         if rank_reaches(field, rows, bound):
             return bound
         return sum(map(Span(field).add, rows))
-    ints = [primitive_integers(r) for r in rows]
-    if rank_reaches(GF(CERT_PRIME), ints, bound):
+    if rank_reaches(GF(CERT_PRIME), _integer_rows(rows), bound):
         return bound
     return Matrix(field, rows).rank()
 

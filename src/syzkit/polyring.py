@@ -5,16 +5,22 @@ tuples; supported orders are grevlex (default) and lex.  Every polynomial
 is homogeneous: graded pieces are the whole data model, so inhomogeneous
 input is rejected at construction.
 
-A ring caches, next to its degree-d monomial lists, a product-column table:
-for an exponent e and a multiplier degree k, the positions in the degree
-|e| + k basis of the products e*m, m over the degree-k monomials.
-multiple_rows reads it to build a matrix of monomial multiples (the
-Macaulay matrix of a generation certificate) as integer rows, placing
-each element's scaled coefficients at those columns, with no product
-polynomial formed.
+Integer work starts from one scaling per form, computed once:
+GradedPoly.int_terms, the residues over F_p and primitive integers over Q
+(a nonzero rescaling, which changes no rank and no zero set).  A ring
+caches, next to its degree-d monomial lists, a product-column table: for
+an exponent e and a multiplier degree k, the columns of the products e*m,
+m over the degree-k monomials (k = 0 is the column of e).  multiple_rows
+and product_rows read it to build integer rows of multiples and products,
+with no product polynomial formed.
+
+A form is evaluated at a point only as the sum c*value over its integer
+terms, against monomial_values: one table of the degree-t monomials at
+integer_powers of the point per degree.
 """
 
 from math import comb
+from operator import mul
 
 from .errors import (CertificateError, HomogeneityError, ParseError,
                      RingMismatchError)
@@ -138,7 +144,7 @@ def _compositions(d, n):
 class GradedPoly:
     """Homogeneous polynomial: dict of exponent-tuple -> nonzero coefficient."""
 
-    __slots__ = ("ring", "coeffs", "_degree")
+    __slots__ = ("ring", "coeffs", "_degree", "_ints")
 
     def __init__(self, ring, coeffs, degree=None):
         self.ring = ring
@@ -160,10 +166,19 @@ class GradedPoly:
             clean[e] = c
         self.coeffs = clean
         self._degree = deg
+        self._ints = None
 
     @property
     def degree(self):
         return self._degree
+
+    @property
+    def int_terms(self):
+        """integer_terms of the coefficients, computed once and shared:
+        callers must not mutate the dict."""
+        if self._ints is None:
+            self._ints = integer_terms(self.coeffs, modulus(self.ring.field))
+        return self._ints
 
     def is_zero(self):
         return not self.coeffs
@@ -300,40 +315,60 @@ def piece_multiples(ring, elems, d):
             for g, mons in multiplied_elements(ring, elems, d) for m in mons]
 
 
+def modulus(field):
+    """p over F_p, None over Q: what integer terms are taken modulo."""
+    return field.p if isinstance(field, PrimeField) else None
+
+
+def integer_terms(terms, p):
+    """A new dict of the terms with int coefficients: residues over F_p (p
+    given), and over Q primitive integers, a nonzero rescaling of the form
+    that changes no rank, no zero set and no rows a Span picks."""
+    if p is not None:
+        return dict(terms)
+    return dict(zip(terms, primitive_integers(list(terms.values()))))
+
+
 def multiple_rows(ring, elems, d):
     """The rows of piece_multiples(ring, elems, d) as integers, in the same
     order, in the degree-d basis: the monomial basis for polynomials and
     FreeModule.piece_basis(d) for module elements (read off their free
-    module's shifts).
-
-    Each element is scaled once: to residues over F_p, which are the rows
-    to_vector and coords give, and to primitive integers over Q, which
-    changes each row by a nonzero scalar only, so neither a rank nor the
-    rows a Span picks.  A multiple's row is then zeros with those integers
-    at the columns ring.product_columns gives."""
-    p = ring.field.p if isinstance(ring.field, PrimeField) else None
+    module's shifts).  Each element enters by its integer terms (int_terms
+    of a polynomial), and a multiple's row is zeros with those integers at
+    the columns ring.product_columns gives."""
     rows = []
     for g, mons in multiplied_elements(ring, elems, d):
         free = getattr(g, "free", None)
         if free is None:
-            ncols = ring.piece_dim(d)
-            placed = [(0, e) for e in g.coeffs]
-            values = list(g.coeffs.values())
+            offsets = [0, ring.piece_dim(d)]
+            terms = [((0, e), c) for e, c in g.int_terms.items()]
         else:
             offsets = [0]
             for s in free.shifts:
                 offsets.append(offsets[-1] + ring.piece_dim(d - s))
-            ncols = offsets[-1]
-            placed = [(offsets[comp], e) for comp, e in g.terms]
-            values = list(g.terms.values())
-        if p is None:
-            values = primitive_integers(values)
+            terms = integer_terms(g.terms, modulus(ring.field)).items()
         k = d - g.degree
-        block = [[0] * ncols for _ in mons]
-        for (offset, e), c in zip(placed, values):
+        block = [[0] * offsets[-1] for _ in mons]
+        for (comp, e), c in terms:
             for row, col in zip(block, ring.product_columns(e, k)):
-                row[offset + col] = c
+                row[offsets[comp] + col] = c
         rows += block
+    return rows
+
+
+def product_rows(f, polys):
+    """The rows of f*g for g in polys in the degree deg f + deg g monomial
+    basis: each g's int_terms times f's integer row, placed at
+    ring.product_columns.  Each is a nonzero multiple of f*g's row."""
+    ring = f.ring
+    f_row = multiple_rows(ring, [f], f.degree)[0]
+    rows = []
+    for g in polys:
+        row = [0] * ring.piece_dim(f.degree + g.degree)
+        for e, c in g.int_terms.items():
+            for col, a in zip(ring.product_columns(e, f.degree), f_row):
+                row[col] += c * a
+        rows.append(row)
     return rows
 
 
@@ -358,37 +393,45 @@ def integer_powers(point, top):
     return [[x ** k for k in range(top + 1)] for x in primitive_integers(point)]
 
 
-def form_value(terms, powers):
-    """The value of the (exps, coefficient) terms at a point, given as the
-    powers of its coordinates: integer_powers, or residues of them."""
-    val = 0
-    for e, c in terms:
+def monomial_values(ring, powers, t, q=None):
+    """{exponents: value} of the degree-t monomials at a point given by its
+    integer_powers: exact integers, or residues mod q when q is given."""
+    values = {}
+    for e in ring.monomials_of_degree(t):
+        v = 1
         for pw, k in zip(powers, e):
-            c *= pw[k]
-        val += c
-    return val
+            v *= pw[k]
+        values[e] = v if q is None else v % q
+    return values
+
+
+def terms_value(terms, values):
+    """The sum of c * values[e] over the integer terms {e: c}."""
+    return sum(map(mul, terms.values(), map(values.__getitem__, terms)))
+
+
+def values_at(polys, point):
+    """Lazily, the value at the point of each form's int_terms at
+    integer_powers of the point (mod p over F_p), from one monomial_values
+    table per degree.  Both scalings are nonzero, so a value is zero
+    exactly when the form vanishes at the point."""
+    ring = polys[0].ring
+    p = modulus(ring.field)
+    powers = integer_powers(point, max(f.degree or 0 for f in polys))
+    tables = {}
+    for f in polys:
+        t = f.degree or 0
+        if t not in tables:
+            tables[t] = monomial_values(ring, powers, t, p)
+        v = terms_value(f.int_terms, tables[t])
+        yield v if p is None else v % p
 
 
 def vanish_at(polys, points):
-    """True when every form vanishes at every point.  The work is in
-    integers: each form is scaled to primitive integer coefficients and
-    each point by integer_powers, and over F_p the integer value is taken
-    mod p."""
-    polys = [f for f in polys if not f.is_zero()]
-    if not polys:
-        return True
-    field = polys[0].ring.field
-    p = field.p if isinstance(field, PrimeField) else None
-    forms = [list(zip(f.coeffs, primitive_integers(list(f.coeffs.values()))))
-             for f in polys]
-    top = max(f.degree for f in polys)
-    for point in points:
-        powers = integer_powers(point, top)
-        for terms in forms:
-            val = form_value(terms, powers)
-            if val if p is None else val % p:
-                return False
-    return True
+    """True when every form vanishes at every point, by values_at: per
+    point one table of monomial values per degree, and per form one sum
+    over its integer terms; the first nonzero value ends the test."""
+    return not polys or not any(any(values_at(polys, pt)) for pt in points)
 
 
 # -- parser ---------------------------------------------------------------

@@ -21,11 +21,11 @@ from .errors import (CertificateError, GenericityError, HypothesisError,
                      InputError, SpecialityError, ThresholdError)
 from .fields import DEFAULT_PRIME, GF, QQ, PrimeField
 from .groebner import FreeModule, Ideal, PolyMatrix, Vec, ideal_piece_basis
-from .linalg import (CERT_PRIME, Matrix, Span, primitive_integers,
-                     rank_at_least, rank_reaches)
+from .linalg import CERT_PRIME, Matrix, Span, rank_at_least, rank_reaches
 from .modtools import GradedModulePresentation, certify_locally_free, hoppe_check
-from .polyring import (PolyRing, form_value, integer_powers, multiple_rows,
-                       piece_multiples, vanish_at)
+from .polyring import (PolyRing, integer_powers, monomial_values,
+                       multiple_rows, piece_multiples, terms_value, values_at,
+                       vanish_at)
 from .schemes import (Polarization, SubschemeData, curve_sections,
                       h0_ideal_twist, h1_ideal_twist, restrict_to_curve,
                       restriction_kernel)
@@ -72,24 +72,20 @@ class GenerationReport:
 
 
 def _partials(ring, polys):
-    """Per form, per variable, the terms (e - unit_i, c * e_i) of the
-    partial derivative of the form scaled to primitive integer
-    coefficients.  The scaling multiplies a Jacobian row by a nonzero
-    constant, so no rank changes; over F_p the coefficients already are
-    integers with denominator 1 and the gcd divided out is a unit."""
-    out = []
-    for f in polys:
-        terms = list(zip(f.coeffs, primitive_integers(list(f.coeffs.values()))))
-        out.append([[(e[:i] + (e[i] - 1,) + e[i + 1:], c * e[i])
-                     for e, c in terms if e[i]] for i in range(ring.num_vars)])
-    return out
+    """Per form, per variable, the integer terms {e - unit_i: c * e_i} of
+    the partial derivative of the form's int_terms.  The scaling multiplies
+    a Jacobian row by a nonzero constant, so no rank changes."""
+    return [[{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+              for e, c in f.int_terms.items() if e[i]}
+             for i in range(ring.num_vars)] for f in polys]
 
 
-def _jacobian_rows(partials, powers):
-    """The Jacobian rows at a point, one form at a time, from the powers of
-    its coordinates (exact integers, or residues mod a prime)."""
+def _jacobian_rows(partials, values):
+    """The Jacobian rows at a point, one form at a time, from the values of
+    the monomials there (monomial_values: exact integers, or residues mod a
+    prime)."""
     for form in partials:
-        yield [form_value(terms, powers) for terms in form]
+        yield [terms_value(terms, values) for terms in form]
 
 
 def _gradient_rows(ring, polys, point):
@@ -97,7 +93,10 @@ def _gradient_rows(ring, polys, point):
     as _partials scales them and the point by integer_powers (a projective
     rescaling, which multiplies a row by a nonzero constant)."""
     powers = integer_powers(point, max(p.degree for p in polys) - 1)
-    return list(_jacobian_rows(_partials(ring, polys), powers))
+    values = {}
+    for t in {p.degree - 1 for p in polys}:
+        values.update(monomial_values(ring, powers, t))
+    return list(_jacobian_rows(_partials(ring, polys), values))
 
 
 def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
@@ -111,13 +110,14 @@ def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
     min(#multiples, dim (I)_k), so Bareiss over Q runs only when the mod-p
     rank misses that bound.
     points, when given, are the reduced points the ideal vanishes on
-    exactly: membership of V is then checked by evaluation, and a fiberwise
+    exactly: membership of V is then checked by vanish_at, and a fiberwise
     Jacobian-spanning screen at each point supplies definitive failure
-    witnesses.  The forms are scaled once; at each point the Jacobian rows
-    are evaluated mod CERT_PRIME (mod p over F_p), one form at a time, into
-    a Span that stops once it holds n rows.  Rank mod p <= rank over Q, so
-    that proves the point is no witness; only a point where it falls short
-    is decided exactly, by _gradient_rows and rank_reaches.
+    witnesses.  Each form enters by its int_terms; at each point one table
+    of the degree md-1 monomial values mod CERT_PRIME (mod p over F_p)
+    gives the Jacobian rows, one form at a time, into a Span that stops
+    once it holds n rows.  Rank mod p <= rank over Q, so that proves the
+    point is no witness; only a point where it falls short is decided
+    exactly, by _gradient_rows and rank_reaches.
     "uncertified" means the scan window was capped below the certification
     threshold.
     """
@@ -142,10 +142,10 @@ def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
         q = ring.field.p if isinstance(ring.field, PrimeField) else CERT_PRIME
         partials = _partials(ring, v_polys)
         for pt in points:
-            powers = [[x % q for x in pw] for pw in integer_powers(pt, md - 1)]
+            values = monomial_values(ring, integer_powers(pt, md - 1), md - 1, q)
             span = Span(GF(q))
             reached = any(span.add(row) and len(span.pivots) >= n
-                          for row in _jacobian_rows(partials, powers))
+                          for row in _jacobian_rows(partials, values))
             if not (reached or rank_reaches(
                     ring.field, _gradient_rows(ring, v_polys, pt), n)):
                 witness = [str(c) for c in pt]
@@ -293,8 +293,7 @@ def _draw_curve_forms(rng, z, d, count, tries=40):
             forms.append(f)
         # no form vanishes at a point of Z: then the forms meet Z nowhere
         if z.points is not None:
-            if any(field.is_zero(f.evaluate(pt))
-                   for f in forms for pt in z.points):
+            if not all(all(values_at(forms, pt)) for pt in z.points):
                 continue
         elif not z.ideal.sum(forms).is_projectively_empty():
             continue
@@ -312,8 +311,9 @@ def _draw_curve_forms(rng, z, d, count, tries=40):
 def _ci_restriction(z, v_basis, forms):
     """(injective, image_dim) of V -> H^0(C, O_C) for C = V(forms): the
     kernel is V cap (forms)_md, against ideal_piece_basis of (forms)_md."""
-    return restriction_kernel(v_basis, ideal_piece_basis(Ideal(z.ring, forms),
-                                                         v_basis[0].degree))
+    ring, md = z.ring, v_basis[0].degree
+    basis = ideal_piece_basis(Ideal(ring, forms), md)
+    return restriction_kernel(v_basis, multiple_rows(ring, basis, md))
 
 
 def _feasible_twist(z, pol, policy, mm):
@@ -635,7 +635,9 @@ def chain_character_residual(n, d, quotient_hp, stage_data, terminal_chern):
 
 
 class ResolutionChain:
-    """The full kernel chain 0 -> E -> V_e x O(-M_e H) -> ... -> I_Z -> 0."""
+    """The full kernel chain 0 -> E -> V_e x O(-M_e H) -> ... -> I_Z -> 0.
+    Construction computes the character residual once and rejects a
+    nonzero one."""
 
     def __init__(self, z, pol, stages, terminal_chern, terminal_flags, mode,
                  seed):
@@ -649,15 +651,14 @@ class ResolutionChain:
         if len(stages) != pol.n - 1:
             raise CertificateError("chain length is not n - 1",
                                    stages=len(stages), n=pol.n)
-
-    def residual(self):
-        data = [(s.m, s.dim_v) for s in self.stages]
-        return chain_character_residual(self.pol.n, self.pol.d,
-                                        self.z.hilbert_polynomial(), data,
-                                        self.terminal_chern)
+        self.residual = chain_character_residual(
+            pol.n, pol.d, z.hilbert_polynomial(),
+            [(s.m, s.dim_v) for s in stages], terminal_chern)
+        if not self.residual.is_zero():
+            raise CertificateError("character identity failed")
 
     def report(self):
-        res = self.residual()
+        res = self.residual
         return {
             "ambient": self.pol.n,
             "d": self.pol.d,
@@ -719,10 +720,7 @@ def build_chain(z, pol, mode="numeric", seed=0, p=None, m_list=None,
         terminal = chern_of_twist(stage0.chern, -stage0.m)
         flags = {"locally_free": stage0.flags.get(
             "locally_free", "assumed-cohomological-dimension")}
-        chain = ResolutionChain(z, pol, [stage0], terminal, flags, mode, seed)
-        if not chain.residual().is_zero():
-            raise CertificateError("character identity failed")
-        return chain
+        return ResolutionChain(z, pol, [stage0], terminal, flags, mode, seed)
 
     # P^3: one more kernel stage on top of K_0
     g = pol.genus
@@ -820,11 +818,8 @@ def build_chain(z, pol, mode="numeric", seed=0, p=None, m_list=None,
     flags = {"locally_free": "assumed-cohomological-dimension"
              if mode == "numeric" else "inconclusive: presentation budget",
              "untwist": -m_total}
-    chain = ResolutionChain(z, pol, [stage0, stage1], terminal, flags, mode,
-                            seed)
-    if not chain.residual().is_zero():
-        raise CertificateError("character identity failed")
-    return chain
+    return ResolutionChain(z, pol, [stage0, stage1], terminal, flags, mode,
+                           seed)
 
 
 # -- experiments ---------------------------------------------------------------

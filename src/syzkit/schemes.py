@@ -20,7 +20,8 @@ from .fields import QQ
 from .groebner import (Ideal, hilbert_numerator, ideal_piece_basis,
                        series_product)
 from .linalg import Matrix, rank_at_least
-from .polyring import PolyRing, form_value, integer_powers, vanish_at
+from .polyring import (PolyRing, integer_powers, monomial_values,
+                       multiple_rows, product_rows, values_at, vanish_at)
 
 
 class Polarization:
@@ -54,10 +55,11 @@ def points_ideal(ring, points):
     """Saturated vanishing ideal of a reduced point set, read off its
     evaluation kernels (Abbott, Bigatti, Kreuzer and Robbiano, 2000).
     (I_Z)_t is the kernel of the degree-t monomials evaluated at the points,
-    in integers by integer_powers (a row scaling).  The columns ascend, so
-    the pivots are the standard monomials and each kernel vector is its free
-    column, a lead of I_Z, over standard monomials: made monic, a reduced
-    Groebner basis element, kept unless an earlier lead divides its lead.
+    in integers by monomial_values at integer_powers of each point (a row
+    scaling).  The columns ascend, so the pivots are the standard monomials
+    and each kernel vector is its free column, a lead of I_Z, over standard
+    monomials: made monic, a reduced Groebner basis element, kept unless an
+    earlier lead divides its lead.
     HF_{R/I_Z}(t) is the evaluation rank, #points from the first full-rank
     degree t0 on, so R/I_Z has series numerator (1-z)^n * ΔHF; the leads lie
     in in(I_Z) and generate it once their numerator is that one.  Gotzmann
@@ -84,7 +86,8 @@ def points_ideal(ring, points):
     hf, leads, basis = [1], [], []
     for t in count(1):
         mons = ring.monomials_of_degree(t)[::-1]
-        values = [[form_value([(e, 1)], pw) for e in mons] for pw in powers]
+        values = [[vals[e] for e in mons]
+                  for vals in (monomial_values(ring, pw, t) for pw in powers)]
         rank, kernel = Matrix(f, values).rank_and_kernel()
         hf.append(rank)
         for w in kernel:
@@ -259,8 +262,9 @@ def restrict_to_curve(z, v_basis, f):
     Returns (injective, image_dim).  The kernel of restriction is
     V ∩ f·(I_Z)_{md-deg f} (f is a nonzerodivisor mod the saturated ideal
     once C ∩ Z = ∅, which is checked first).  Membership of V in I_Z is
-    checked by SubschemeData.contains, by evaluation for points.  R is a
-    domain, so f times ideal_piece_basis is a basis of f·(I_Z)_{md-deg f}."""
+    checked by SubschemeData.contains, by values_at for points, as is f's
+    value at each point.  R is a domain, so f times ideal_piece_basis is a
+    basis of f·(I_Z)_{md-deg f}; its rows are product_rows, in integers."""
     field = z.ring.field
     if not v_basis:
         return True, 0
@@ -271,7 +275,7 @@ def restrict_to_curve(z, v_basis, f):
         raise InputError("section does not lie in the subscheme ideal")
     if z.points is not None:
         for p in z.points:
-            if field.is_zero(f.evaluate(p)):
+            if not next(values_at([f], p)):
                 raise GeometricPositionError(
                     "curve passes through a point of Z", point=[field.to_str(c) for c in p])
     else:
@@ -280,27 +284,26 @@ def restrict_to_curve(z, v_basis, f):
             raise GeometricPositionError("curve meets the subscheme")
 
     lower = ideal_piece_basis(z.ideal, target - f.degree)
-    return restriction_kernel(v_basis, [f * g for g in lower])
+    return restriction_kernel(v_basis, product_rows(f, lower))
 
 
-def restriction_kernel(v_basis, w_basis):
-    """(injective, image_dim) of V -> S_md / span(W) for bases V and W of
-    degree-md polynomials: the kernel V ∩ span(W) has dimension #V + #W -
-    rank(V + W).  #V and rank(V + W) <= #V + #W are rank_at_least checks, so
-    Bareiss over Q runs only when a mod-p rank misses its bound.  The rows
-    come from to_vector: restrict_to_curve passes products f*g, not
-    monomial multiples."""
+def restriction_kernel(v_basis, w_rows):
+    """(injective, image_dim) of V -> S_md / span(W) for a basis V of
+    degree-md polynomials and a basis W given as integer rows in the
+    degree-md monomial basis (product_rows, or multiple_rows at md): the
+    kernel V ∩ span(W) has dimension #V + #W - rank(V + W).  V's rows are
+    multiple_rows(ring, V, md), its int_terms.  #V and rank(V + W) <= #V +
+    #W are rank_at_least checks, so Bareiss over Q runs only when a mod-p
+    rank misses its bound."""
     ring = v_basis[0].ring
     field = ring.field
-    md = v_basis[0].degree
-    v_rows = [ring.to_vector(p, md) for p in v_basis]
+    v_rows = multiple_rows(ring, v_basis, v_basis[0].degree)
     rank_v = rank_at_least(field, v_rows, len(v_rows))
     if rank_v != len(v_basis):
         raise CertificateError("section basis is linearly dependent",
                                rank=rank_v, size=len(v_basis))
-    if not w_basis:
+    if not w_rows:
         return True, rank_v
-    w_rows = [ring.to_vector(p, md) for p in w_basis]
     rank_union = rank_at_least(field, v_rows + w_rows, rank_v + len(w_rows))
     kernel = rank_v + len(w_rows) - rank_union
     return kernel == 0, rank_v - kernel

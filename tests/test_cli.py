@@ -8,9 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from syzkit.cli import main
+from syzkit.cli import build_parser, main
 from syzkit.fields import QQ
-from syzkit.polyring import PolyRing
+from syzkit.polyring import GradedPoly, PolyRing
 from syzkit.schemes import points_ideal
 
 
@@ -165,6 +165,19 @@ def test_env_prime_is_honored(capsys, monkeypatch):
     assert rep["failure_probability_bound"] == "5/101"
 
 
+def test_env_prime_is_read_on_each_call(capsys, monkeypatch):
+    """main builds its parser once per process, and reads SYZKIT_PRIME when
+    it is called."""
+    echoed = []
+    for prime in ("101", "103"):
+        monkeypatch.setenv("SYZKIT_PRIME", prime)
+        code, out = run(capsys, "butler", "--g", "2", "--r", "3", "--deg", "15")
+        assert code == 0
+        echoed.append(json.loads(out)["config"]["p"])
+    assert echoed == [101, 103]
+    assert build_parser() is build_parser()
+
+
 def test_text_format(capsys):
     code, out = run(capsys, "butler", "--g", "2", "--r", "3", "--deg", "15",
                     "--format", "text")
@@ -260,6 +273,23 @@ def _random_ideal_file(seed, n, d, count):
     gb = points_ideal(ring, _random_points(seed, n, count)).gb
     lines = [f"ambient: {n}", f"d: {d}", "ideal:"] + [g.to_str() for g in gb]
     return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n,d,count", [(2, 3, 12), (3, 2, 9)],
+                         ids=["P2-12-points", "P3-9-points"])
+def test_points_resolve_never_evaluates_in_field_arithmetic(
+        capsys, monkeypatch, tmp_path, n, d, count):
+    """A points file meets its forms only through integer monomial-value
+    tables: GradedPoly.evaluate is never reached."""
+    def forbidden(self, point):
+        raise AssertionError("GradedPoly.evaluate reached")
+
+    monkeypatch.setattr(GradedPoly, "evaluate", forbidden)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "z.txt").write_text(_random_point_file(1, n, d, count))
+    code, out = run(capsys, "resolve", "--input", "z.txt")
+    assert code == 0, out
+    assert json.loads(out)["identity_holds"] is True
 
 
 def test_module_mode_rejects_points_in_p3_up_front(capsys, monkeypatch,

@@ -72,3 +72,31 @@ def test_no_assert_statements_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/syzkit: {found}"
+
+
+# the helpers that scale to primitive integers; any other caller would be a
+# new copy of that scaling
+SCALING_HELPERS = {("polyring", "integer_terms"), ("polyring", "integer_powers")}
+
+
+def _nodes_by_function(tree):
+    """(name of the innermost enclosing function or None, node) for every
+    node of the tree."""
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            inner = (child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn)
+            yield inner, child
+            yield from visit(child, inner)
+    return visit(tree, None)
+
+
+def test_primitive_integers_is_used_only_by_linalg_and_the_scaling_helpers():
+    users = set()
+    for module, tree in _trees().items():
+        for fn, node in _nodes_by_function(tree):
+            if (isinstance(node, ast.Name) and node.id == "primitive_integers"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "primitive_integers"):
+                users.add((module, fn))
+    assert {u for u in users if u[0] != "linalg"} == SCALING_HELPERS

@@ -29,6 +29,15 @@ def identity(field, n):
                           for i in range(n)])
 
 
+def zeros(field, nrows, ncols):
+    return Matrix(field, [[field.zero] * ncols for _ in range(nrows)])
+
+
+def transpose(m):
+    return Matrix(m.field, [[m.rows[i][j] for i in range(m.nrows)]
+                            for j in range(m.ncols)])
+
+
 def test_identity_rank_and_kernel():
     m = identity(QQ, 2)
     rank, kernel = m.rank_and_kernel()
@@ -37,7 +46,7 @@ def test_identity_rank_and_kernel():
 
 
 def test_zero_matrix_kernel():
-    m = Matrix.zeros(QQ, 3, 4)
+    m = zeros(QQ, 3, 4)
     rank, kernel = m.rank_and_kernel()
     assert rank == 0
     assert len(kernel) == 4
@@ -225,15 +234,15 @@ def test_solve_particular_solution():
 
 def mul(a, b):
     """The matrix product a * b, from mul_vector on the columns of b."""
-    cols = [a.mul_vector(col) for col in b.transpose().rows]
-    return Matrix(a.field, cols).transpose()
+    cols = [a.mul_vector(col) for col in transpose(b).rows]
+    return transpose(Matrix(a.field, cols))
 
 
 def test_matrix_product_and_transpose():
     a = Matrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(0), Fraction(1)]])
     b = mul(a, a)
     assert b.rows == [[Fraction(1), Fraction(4)], [Fraction(0), Fraction(1)]]
-    assert a.transpose().rows == [[Fraction(1), Fraction(0)],
+    assert transpose(a).rows == [[Fraction(1), Fraction(0)],
                                   [Fraction(2), Fraction(1)]]
 
 
@@ -568,3 +577,47 @@ def test_slotwise_reduction_is_exact_on_every_value_below_the_bound(p):
         y = normalize(sum(v << j * w for j, v in enumerate(slots)))
         assert [y >> j * w & mask for j in range(len(slots))] \
             == [v % p for v in slots]
+
+
+def test_q_rank_tests_give_the_same_answer_on_int_and_fraction_rows_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6),
+               st.data())
+    def check(nr, nc, inner, data):
+        # a product through an inner dimension caps the rank at inner
+        entries = st.integers(-4, 4)
+        a = data.draw(st.lists(st.lists(entries, min_size=inner,
+                                        max_size=inner),
+                               min_size=nr, max_size=nr))
+        b = data.draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                               min_size=inner, max_size=inner))
+        # each row times its own factor: int rows need not be primitive
+        factors = data.draw(st.lists(st.integers(1, 12), min_size=nr,
+                                     max_size=nr))
+        rows = [[k * sum(x * y for x, y in zip(r, col)) for col in zip(*b)]
+                if inner else [0] * nc for r, k in zip(a, factors)]
+        dens = data.draw(st.lists(st.integers(1, 9), min_size=nr,
+                                  max_size=nr))
+        fracs = [[Fraction(c, den) for c in r] for r, den in zip(rows, dens)]
+        rank = Matrix(QQ, fracs).rank()
+        for target in range(nr + 2):
+            assert (rank_reaches(QQ, rows, target)
+                    == rank_reaches(QQ, fracs, target) == (rank >= target))
+        bound = min(nr, nc)
+        assert (rank_at_least(QQ, rows, bound)
+                == rank_at_least(QQ, fracs, bound) == rank)
+
+    check()
+
+
+def test_q_rank_tests_do_not_rescale_int_rows(monkeypatch):
+    def forbidden(vec):
+        raise AssertionError("int row rescaled")
+
+    monkeypatch.setattr(linalg, "primitive_integers", forbidden)
+    rows = [[2, 4, 6], [0, 3, 9]]
+    assert rank_reaches(QQ, rows, 2)
+    assert rank_at_least(QQ, rows, 2) == 2

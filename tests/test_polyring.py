@@ -14,7 +14,7 @@ from syzkit.groebner import FreeModule, Vec
 from syzkit.linalg import primitive_integers
 from syzkit.polyring import (GradedPoly, PolyRing, graded_piece_dim,
                              grevlex_key, multiple_rows, piece_multiples,
-                             span_dim)
+                             span_dim, values_at, vanish_at)
 
 
 def test_piece_dimension_binomial():
@@ -229,3 +229,74 @@ def test_product_columns_are_cached_on_the_ring():
         tuple(a + b for a, b in zip((1, 0, 1), m))
         for m in ring.monomials_of_degree(2)]
     assert ring.product_columns((1, 0, 1), 2) is cols
+
+
+# -- integer terms and evaluation at points ------------------------------------
+
+
+def _draw_form(data, st, ring, point):
+    """A form of degree 0..4 with a few small coefficients; about half of
+    them are made to vanish at the point (minus a multiple of x_k^deg for a
+    nonzero coordinate k)."""
+    field = ring.field
+    deg = data.draw(st.integers(0, 4))
+    mons = ring.monomials_of_degree(deg)
+    picked = data.draw(st.lists(st.sampled_from(mons), max_size=5, unique=True))
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 7)))
+    f = ring.from_terms({m: field(data.draw(coeff)) for m in picked}, deg)
+    if data.draw(st.booleans()):
+        k = next(i for i, c in enumerate(point) if c)
+        xk = ring.monomial(tuple(deg if i == k else 0 for i in range(len(point))))
+        f = f - xk.scale(field.div(f.evaluate(point), xk.evaluate(point)))
+    return f
+
+
+def _draw_point(data, st, field, nv):
+    """A point with small coordinates, zero and negative ones among them."""
+    coord = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 5)))
+    return tuple(field(c) for c in data.draw(
+        st.lists(coord, min_size=nv, max_size=nv).filter(any)))
+
+
+def test_values_at_zero_test_agrees_with_evaluate_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from((QQ, GF(101))), st.sampled_from((3, 4)),
+               st.data())
+    def check(field, nv, data):
+        ring = PolyRing(field, nv)
+        point = _draw_point(data, st, field, nv)
+        forms = [_draw_form(data, st, ring, point)
+                 for _ in range(data.draw(st.integers(1, 4)))]
+        zero = [field.is_zero(f.evaluate(point)) for f in forms]
+        assert [not v for v in values_at(forms, point)] == zero
+        assert vanish_at(forms, [point]) == all(zero)
+        other = _draw_point(data, st, field, nv)
+        assert vanish_at(forms, [point, other]) == all(
+            field.is_zero(f.evaluate(pt)) for f in forms
+            for pt in (point, other))
+
+    check()
+
+
+def test_int_terms_are_the_cached_primitive_integers_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from((QQ, GF(101))), st.sampled_from((3, 4)),
+               st.data())
+    def check(field, nv, data):
+        ring = PolyRing(field, nv)
+        f = _draw_form(data, st, ring, _draw_point(data, st, field, nv))
+        ints = f.int_terms
+        assert ints is f.int_terms
+        assert list(ints) == list(f.coeffs)
+        values = list(f.coeffs.values())
+        assert list(ints.values()) == (primitive_integers(values)
+                                       if field == QQ else values)
+        assert all(type(c) is int for c in ints.values())
+
+    check()

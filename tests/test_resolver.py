@@ -123,6 +123,22 @@ def test_integer_jacobian_rank_matches_field_jacobian(field):
     assert {0, 1, 2, 3} <= ranks
 
 
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_a_section_off_the_points_is_rejected(field):
+    """Negative control of the point path: x0^2 vanishes at two of the
+    three points but not at (1:0:0), so V is not in I_Z."""
+    z, _ = builtin_subscheme("three-points", field)
+    ring = z.ring
+    v = [ring.parse(s) for s in ("x0*x1", "x1*x2", "x0^2")]
+    with pytest.raises(InputError, match="target ideal"):
+        check_generation(v, z.ideal, points=z.points)
+    with pytest.raises(InputError, match="subscheme ideal"):
+        restrict_to_curve(z, v, ring.parse("x0 + x1 + x2"))
+    # the same V without the stray section passes both membership tests
+    assert restrict_to_curve(z, v[:2], ring.parse("x0 + x1 + x2"))[1] == 2
+    assert check_generation(v[:2], z.ideal, points=z.points).verdict == "false"
+
+
 def test_jacobian_screen_needs_exact_rows_only_at_a_witness(monkeypatch):
     z, _ = three_points()
     calls = []

@@ -13,7 +13,7 @@ from syzkit.fields import GF, QQ
 from syzkit import groebner, linalg
 from syzkit.groebner import Ideal, ideal_piece_basis
 from syzkit.linalg import Matrix
-from syzkit.polyring import PolyRing, piece_multiples
+from syzkit.polyring import PolyRing, multiple_rows, piece_multiples
 from syzkit.schemes import (BUILTIN_NAMES, Polarization, SubschemeData,
                             builtin_subscheme, curve_sections, h0_ideal_twist,
                             h1_ideal_twist, parse_subscheme_file, points_ideal,
@@ -413,7 +413,8 @@ def test_restriction_kernel_rejects_dependent_section_basis():
     ring = PolyRing(QQ, 3)
     f = ring.parse("x0*x1")
     with pytest.raises(CertificateError, match="linearly dependent"):
-        restriction_kernel([f, f.scale(Fraction(2))], [ring.parse("x2^2")])
+        restriction_kernel([f, f.scale(Fraction(2))],
+                           multiple_rows(ring, [ring.parse("x2^2")], 2))
 
 
 # -- point schemes answered from their evaluation data ------------------------
