@@ -6,6 +6,14 @@ the Bezout pairing on c2 values.
 Classes are stored as coefficients of powers of the line class L (the
 hyperplane of P^n itself); a polarization scale d is carried along so that
 values print in H = dL.
+
+Every conversion between Hilbert series, K-classes and Chern characters is
+a closed form, with no linear solve.  The binomial-basis class C(k+j, j) is
+[O_{P^j}]: its Hilbert series is 1/(1-z)^(j+1), i.e. the numerator
+(1-z)^(n-j) over (1-z)^(n+1), and by its Koszul complex its Chern character
+is (1 - e^{-L})^(n-j).  So a numerator reads as a K-class through
+groebner.series_polynomial, a twist by t multiplies the numerator by z^-t,
+and ch = sum a_j (1 - e^{-L})^(n-j), certified by Riemann-Roch.
 """
 
 from fractions import Fraction
@@ -13,18 +21,7 @@ from functools import lru_cache
 from math import factorial
 
 from .errors import CertificateError, CoprimalityError, InputError
-from .fields import QQ
-from .linalg import Matrix, fit_hilbert_polynomial
-
-
-def gbinom(a, b):
-    """Binomial coefficient with arbitrary integer top, C(a, b) for b >= 0."""
-    if b < 0:
-        return 0
-    num = 1
-    for i in range(b):
-        num *= a - i
-    return Fraction(num, factorial(b))
+from .groebner import gbinom, series_polynomial
 
 
 class ChowClass:
@@ -112,9 +109,6 @@ class ChowClass:
         """Degree of the top piece against the fundamental class (L^n = [pt])."""
         return self.coeffs[self.n]
 
-    def with_scale(self, scale):
-        return ChowClass(self.n, self.coeffs, scale)
-
     def h_coeffs(self):
         """Coefficients rewritten in powers of H = scale*L."""
         return tuple(c / Fraction(self.scale) ** k for k, c in enumerate(self.coeffs))
@@ -152,9 +146,6 @@ class ChernVector:
             raise InputError("total Chern class must start at 1")
         self.rank = int(rank)
         self.total = total
-
-    def c(self, i):
-        return self.total.coeffs[i]
 
     def __eq__(self, other):
         return (isinstance(other, ChernVector) and self.rank == other.rank
@@ -250,42 +241,6 @@ def chi_of_twist(ch, k):
     return euler_characteristic(ch * exp_class(ch.n, k, ch.scale))
 
 
-@lru_cache(maxsize=None)
-def _chi_system(n):
-    """The matrix of chi(F(k)) = sum_j ch_j * g_j(k) for k, j = 0..n, with
-    g_j(k) = sum_s td_{n-j-s} k^s / s! (computed once per n; Matrix.solve
-    does not mutate it)."""
-    td = todd(n)
-    rows = []
-    for k in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            acc = Fraction(0)
-            for s in range(0, n - j + 1):
-                acc += td.coeffs[n - j - s] * Fraction(k) ** s / factorial(s)
-            row.append(acc)
-        rows.append(row)
-    return Matrix(QQ, rows)
-
-
-def ch_from_chi_values(n, values, scale=1, verify=None):
-    """Chern character from exact Euler characteristics chi(F(kL)) at
-    k = 0..n; the system is triangular in total degree so the solution is
-    unique.  Optional verify: extra (k, chi) pairs checked afterwards.
-    CertificateError when the system has no solution or a pair fails."""
-    sol = _chi_system(n).solve([Fraction(v) for v in values])
-    if sol is None:
-        raise CertificateError("chi values give no Chern character", n=n)
-    ch = ChowClass(n, sol, scale)
-    for k, v in verify or ():
-        got = chi_of_twist(ch.with_scale(1), k)
-        if got != v:
-            raise CertificateError("Chern character does not reproduce chi "
-                                   "at a verification point", k=k,
-                                   expected=str(v), got=str(got))
-    return ch
-
-
 def kclass_chi(coeffs, k):
     """Evaluate a binomial-basis Hilbert polynomial at any integer k."""
     return sum(Fraction(a) * gbinom(k + j, j) for j, a in enumerate(coeffs))
@@ -293,7 +248,8 @@ def kclass_chi(coeffs, k):
 
 class KClass:
     """Class in K(P^n) recorded as the binomial-basis coefficient vector of
-    its Hilbert polynomial chi(F(k)) = sum a_j C(k+j, j)."""
+    its Hilbert polynomial chi(F(k)) = sum a_j C(k+j, j): integers, the
+    class being sum a_j [O_{P^j}]."""
 
     __slots__ = ("n", "coeffs")
 
@@ -303,21 +259,14 @@ class KClass:
         if len(cs) > n + 1:
             raise InputError("K-class vector longer than n+1")
         self.coeffs = tuple(int(c) for c in cs)
-
-    @classmethod
-    def from_chi(cls, n, values):
-        """Recover the integer binomial coefficients from chi at k = 0..n
-        plus verification points (values may be longer than n+1)."""
-        coeffs = fit_hilbert_polynomial(n, range(len(values)), values.__getitem__)
-        if coeffs is None:
-            raise CertificateError("chi values fit no integer Hilbert "
-                                   "polynomial", values=values)
-        return cls(n, coeffs)
+        if self.coeffs != tuple(cs):
+            raise InputError("K-class coefficients must be integers",
+                             coeffs=[str(c) for c in cs])
 
     @classmethod
     def of_line_bundle(cls, n, t):
-        """[O(tL)] on P^n."""
-        return _line_bundle_class(n, t)
+        """[O(tL)] on P^n, whose Hilbert series numerator is z^-t."""
+        return cls(n, series_polynomial({-t: 1}, n + 1))
 
     def chi(self, k):
         v = kclass_chi(self.coeffs, k)
@@ -327,8 +276,12 @@ class KClass:
         return int(v)
 
     def twist(self, t):
-        vals = [self.chi(k + t) for k in range(self.n + 4)]
-        return KClass.from_chi(self.n, vals)
+        """[F(tL)]: the numerator sum a_j (1-z)^(n-j) times z^-t."""
+        n, num = self.n, {}
+        for j, a in enumerate(self.coeffs):
+            for i in range(n - j + 1):
+                num[i - t] = num.get(i - t, 0) + (-1) ** i * gbinom(n - j, i) * a
+        return KClass(n, series_polynomial(num, n + 1))
 
     def _check(self, other):
         if self.n != other.n:
@@ -350,23 +303,28 @@ class KClass:
     def __hash__(self):
         return hash((self.n, self.coeffs))
 
+    @lru_cache(maxsize=None)
     def to_ch(self, scale=1):
-        vals = [self.chi(k) for k in range(self.n + 1)]
-        extra = [(k, self.chi(k)) for k in range(self.n + 1, self.n + 3)]
-        return ch_from_chi_values(self.n, vals, scale, verify=extra)
+        """sum a_j (1 - e^{-L})^(n-j), computed once per class and scale (a
+        KClass and a ChowClass are never mutated).  Certificate: chi(ch *
+        e^{kL}) equals chi(k) at k = 0..n, n+1 values of two polynomials of
+        degree n, so they agree everywhere; CertificateError otherwise."""
+        n = self.n
+        u = ChowClass.unit(n, scale) - exp_class(n, -1, scale)
+        ch, power = ChowClass.zero(n, scale), ChowClass.unit(n, scale)
+        for a in reversed(self.coeffs):
+            ch = ch + power * a
+            power = power * u
+        for k in range(n + 1):
+            got = chi_of_twist(ch, k)
+            if got != self.chi(k):
+                raise CertificateError("Chern character fails Riemann-Roch",
+                                       k=k, expected=self.chi(k),
+                                       got=str(got))
+        return ch
 
     def __repr__(self):
         return f"KClass(n={self.n}, coeffs={self.coeffs})"
-
-
-@lru_cache(maxsize=None)
-def _line_bundle_class(n, t):
-    """[O(tL)] on P^n, computed once per argument (a KClass is never
-    mutated)."""
-    vals = [gbinom(k + t + n, n) for k in range(n + 4)]
-    if any(v.denominator != 1 for v in vals):
-        raise CertificateError("line bundle has a non-integer chi", n=n, t=t)
-    return KClass.from_chi(n, [int(v) for v in vals])
 
 
 def ch_ideal_sheaf(n, quotient_hp, scale=1):

@@ -30,12 +30,12 @@ gives the proof).
 import heapq
 from fractions import Fraction
 from functools import reduce
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 from .errors import (BudgetError, CertificateError, HomogeneityError,
                      NonMinimalError, RingMismatchError)
 from .fields import GF, QQ, PrimeField
-from .linalg import CERT_PRIME, Span, fit_hilbert_polynomial
+from .linalg import CERT_PRIME, Span
 from .polyring import (GradedPoly, integer_terms, modulus, multiple_rows,
                        multiplied_elements)
 
@@ -554,14 +554,27 @@ def series_coefficient(numerator, nvars, d):
                for k, c in numerator.items() if k <= d)
 
 
+def gbinom(a, b):
+    """The generalized binomial C(a, b) = a(a-1)...(a-b+1)/b! for b >= 0,
+    0 for b < 0; exact for any rational a, and an int for an int a."""
+    if b < 0:
+        return 0
+    num = 1
+    for i in range(b):
+        num *= a - i
+    return num // factorial(b) if isinstance(num, int) else num / factorial(b)
+
+
 def series_polynomial(numerator, nvars):
-    """(a_0..a_n): sum a_j C(k+j, j) is the coefficient of z^k in
-    N(z)/(1-z)^nvars from the top exponent of N on, where each of its terms
-    c * C(k - j + n, n) is a polynomial in k, so a fit there is exact."""
-    k0 = max(0, max(numerator, default=0))
-    return fit_hilbert_polynomial(
-        nvars - 1, range(k0, k0 + nvars),
-        lambda k: series_coefficient(numerator, nvars, k))
+    """(a_0..a_n), n = nvars - 1: sum a_j C(k+j, j) is the coefficient of z^k
+    in N(z)/(1-z)^nvars from the top exponent of N on.  There a term
+    z^e/(1-z)^nvars contributes C(k-e+n, n), which is sum_j (-1)^(n-j)
+    C(e, n-j) C(k+j, j) by Vandermonde, so a_j = (-1)^(n-j) sum_e c_e
+    C(e, n-j); C is gbinom, so a Laurent numerator (e < 0) reads the same."""
+    n = nvars - 1
+    return tuple((-1) ** (n - j) * sum(c * gbinom(e, n - j)
+                                       for e, c in numerator.items())
+                 for j in range(nvars))
 
 
 class Submodule:

@@ -1,6 +1,8 @@
-"""Dense exact matrices with rank, kernel, solving and seeded random sampling,
-the incremental row echelon, the rank tests over Q and F_p, primitive
-integer scaling and the fit of a binomial-basis Hilbert polynomial.
+"""Dense exact matrices with rank, kernel and seeded random sampling, the
+incremental row echelon, the rank tests over Q and F_p and primitive
+integer scaling.  There is no linear solve: Hilbert polynomials, K-classes
+and Chern characters convert by closed forms (groebner.series_polynomial,
+chow.KClass).
 
 Over Q the forward elimination is fraction-free (Bareiss): rows are scaled
 to integers once and every intermediate entry stays an integer (a minor of
@@ -8,26 +10,27 @@ the scaled matrix), so no rational blow-up occurs mid-elimination.  The
 kernel stays fraction-free too: back-substitution on the Bareiss echelon
 keeps an integer vector and rescales it only by what the next pivot
 division needs, and each kernel vector is verified exactly against every
-scaled integer row.  Over F_p a kernel or a solution comes from the
-reduced echelon form mod p; a rank is forward-only, the pivot count of a
-Span, with no clearing above the pivots.  A Span over F_p keeps each row
-packed in one Python int: a reduction step is one big-int multiply-add,
-and one slot-wise Barrett reduction brings every slot back to an exact
-residue at once (the slot width is argued at Span).
+scaled integer row.  Over F_p a kernel comes from the reduced echelon
+form mod p; a rank is forward-only, the pivot count of a Span, with no
+clearing above the pivots.  A Span over F_p keeps each row packed in one
+Python int: a reduction step is one big-int multiply-add, and one
+slot-wise Barrett reduction brings every slot back to an exact residue at
+once (the slot width is argued at Span).
 
 rank_reaches is the one test "is the rank at least target?"; over Q a
 rank mod CERT_PRIME that reaches target proves it, and Bareiss runs only
 on a miss.  Rows that already are ints (the integer rows polyring builds)
-are ranked as they are, with no second scaling.  rank_at_least is the exact rank under a proven upper bound.
+are ranked as they are, with no second scaling.  rank_at_least is the
+exact rank under a proven upper bound.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
 from .errors import CertificateError, UnsupportedFieldError
-from .fields import GF, QQ, PrimeField
+from .fields import GF, PrimeField
 
 # the prime of the rank tests over Q: 2^31 - 1, large enough that a rank drop
 # mod p on the integer rows syzkit ranks is rare
@@ -52,10 +55,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
-
-    def mul_vector(self, vec):
-        f = self.field
-        return [_dot(f, row, vec) for row in self.rows]
 
     # -- elimination -------------------------------------------------------
 
@@ -88,27 +87,6 @@ class Matrix:
 
     def kernel(self):
         return self.rank_and_kernel()[1]
-
-    def solve(self, b):
-        """Particular solution of A x = b, or None if inconsistent."""
-        f = self.field
-        aug = Matrix(f, [row + [b[i]] for i, row in enumerate(self.rows)])
-        rank_a = self.rank()
-        rank_aug, pivots, rows, _ = aug._echelon()
-        if rank_aug != rank_a:
-            return None
-        # back substitution on the echelon form, treating the last column as rhs
-        x = [f.zero] * self.ncols
-        for i in reversed(range(rank_aug)):
-            p = pivots[i]
-            acc = rows[i][self.ncols]
-            for j in range(p + 1, self.ncols):
-                acc = f.sub(acc, f.mul(rows[i][j], x[j]))
-            x[p] = f.div(acc, rows[i][p])
-        check = self.mul_vector(x)
-        if not all(f.is_zero(f.sub(c, bi)) for c, bi in zip(check, b)):
-            raise CertificateError("solution fails A x = b")
-        return x
 
     def _echelon(self):
         """(rank, pivots, echelon rows, integer rows).  The integer rows are
@@ -231,13 +209,6 @@ def _verify_kernel(rows, kernel, p):
             s = sum(row[j] * c for j, c in nonzero)
             if s and (p is None or s % p):
                 raise CertificateError("kernel vector is not in the kernel")
-
-
-def _dot(field, u, v):
-    acc = field.zero
-    for a, b in zip(u, v):
-        acc = field.add(acc, field.mul(a, b))
-    return acc
 
 
 def primitive_integers(vec):
@@ -418,22 +389,6 @@ def rank_at_least(field, rows, bound):
     if rank_reaches(GF(CERT_PRIME), _integer_rows(rows), bound):
         return bound
     return Matrix(field, rows).rank()
-
-
-def fit_hilbert_polynomial(n, points, value):
-    """Integer coefficients (a_0..a_n) with value(k) = sum a_j C(k+j, j),
-    solved on the first n+1 points and checked on the remaining ones.
-    Returns None when the values fit no such integer polynomial."""
-    fit = points[:n + 1]
-    rows = [[comb(k + j, j) for j in range(n + 1)] for k in fit]
-    sol = Matrix(QQ, rows).solve([Fraction(value(k)) for k in fit])
-    if sol is None or any(a.denominator != 1 for a in sol):
-        return None
-    coeffs = tuple(int(a) for a in sol)
-    for k in points[n + 1:]:
-        if sum(c * comb(k + j, j) for j, c in enumerate(coeffs)) != value(k):
-            return None
-    return coeffs
 
 
 def random_matrix(field, nrows, ncols, seed):

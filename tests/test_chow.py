@@ -8,12 +8,10 @@ import pytest
 
 from syzkit import chow
 from syzkit.chow import (ChernVector, ChowClass, KClass, bezout_h2, c_from_ch,
-                         ch_from_c, ch_from_chi_values, ch_ideal_sheaf,
-                         chern_of_twist, chi_of_twist, euler_characteristic,
-                         exp_class, kclass_chi, todd)
+                         ch_from_c, ch_ideal_sheaf, chern_of_twist,
+                         chi_of_twist, euler_characteristic, exp_class,
+                         kclass_chi, todd)
 from syzkit.errors import CertificateError, CoprimalityError, InputError
-from syzkit.fields import QQ
-from syzkit.linalg import Matrix
 
 
 def test_multiplication_truncates_and_is_ring_like():
@@ -156,21 +154,64 @@ def test_kclass_additivity_on_ideal_sequence():
         assert i_z.chi(k) == comb(k + 2, 2) - 3
 
 
-def test_kclass_from_chi_rejects_non_polynomial_values():
-    with pytest.raises(CertificateError):
-        KClass.from_chi(1, [1, 2, 3, 5])
-
-
-def test_kclass_from_chi_and_twist():
-    k = KClass.from_chi(3, [1, 4, 10, 20])
-    assert k.coeffs == KClass.of_line_bundle(3, 0).coeffs
+def test_kclass_twist_of_a_line_bundle():
+    assert KClass.of_line_bundle(3, 0).coeffs == (0, 0, 0, 1)
     tw = KClass.of_line_bundle(3, -1).twist(1)
     assert tw.coeffs == KClass.of_line_bundle(3, 0).coeffs
 
 
-def test_ch_from_chi_values_recovers_exponential():
-    ch = ch_from_chi_values(2, [comb(k + 2, 2) for k in range(3)])
-    assert ch.coeffs == (Fraction(1), Fraction(0), Fraction(0))
+def test_to_ch_of_the_binomial_basis_classes():
+    # C(k+j, j) is [O_{P^j}], with character (1 - e^{-L})^(n-j)
+    assert KClass.of_line_bundle(2, 0).to_ch() == ChowClass.unit(2)
+    assert KClass(2, [0, 1, 0]).to_ch() == ChowClass(2, [0, 1, Fraction(-1, 2)])
+    assert KClass(2, [1, 0, 0]).to_ch(3) == ChowClass.point(2, 3)
+
+
+def _kclass(data, st, n):
+    return KClass(n, data.draw(st.lists(st.integers(-6, 6), min_size=n + 1,
+                                        max_size=n + 1)))
+
+
+def test_to_ch_reproduces_chi_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(st.integers(1, 3), st.integers(1, 3), st.data())
+    def check(n, scale, data):
+        k = _kclass(data, st, n)
+        ch = k.to_ch(scale)
+        assert ch.scale == scale
+        for x in range(-3, n + 4):
+            assert chi_of_twist(ch, x) == k.chi(x)
+
+    check()
+
+
+def test_twist_shifts_chi_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(st.integers(1, 3), st.integers(-5, 5), st.data())
+    def check(n, t, data):
+        k = _kclass(data, st, n)
+        tw = k.twist(t)
+        for x in range(-3, n + 4):
+            assert tw.chi(x) == k.chi(x + t)
+        assert tw.twist(-t) == k
+        line = KClass.of_line_bundle(n, t)
+        for x in range(-3, n + 4):
+            assert line.chi(x) == binom_poly(x + t, n)
+
+    check()
+
+
+def test_kclass_rejects_non_integer_coefficients():
+    for coeffs in ([Fraction(3, 2), 0, 1], [2.7]):
+        with pytest.raises(InputError, match="must be integers"):
+            KClass(2, coeffs)
+    assert KClass(2, [Fraction(4, 2), 2.0]).coeffs == (2, 2, 0)
 
 
 def test_kclass_chi_binomial_basis():
@@ -239,19 +280,14 @@ def test_c_from_ch_rejects_non_integral_chern_classes():
         c_from_ch(ChowClass(1, [1, Fraction(1, 2)]))
 
 
-def test_ch_from_chi_values_rejects_a_failed_verification_point():
-    # chi(O(k)) = k + 1 on P^1, so chi at k = 2 is 3, not 4
-    assert ch_from_chi_values(1, [1, 2], verify=[(2, 3)]) == ChowClass(1, [1])
-    with pytest.raises(CertificateError, match="verification point"):
-        ch_from_chi_values(1, [1, 2], verify=[(2, 4)])
-
-
-def test_ch_from_chi_values_rejects_an_unsolvable_system(monkeypatch):
-    monkeypatch.setattr(chow, "_chi_system",
-                        lambda n: Matrix(QQ, [[Fraction(0)] * (n + 1)
-                                              for _ in range(n + 1)]))
-    with pytest.raises(CertificateError, match="no Chern character"):
-        ch_from_chi_values(1, [1, 2])
+def test_to_ch_rejects_a_riemann_roch_mismatch(monkeypatch):
+    # a wrong Todd class breaks chi(ch * e^{kL}) = chi(k); the uncached
+    # to_ch must notice it
+    k = KClass.of_line_bundle(2, 1)
+    assert KClass.to_ch.__wrapped__(k) == exp_class(2, 1)
+    monkeypatch.setattr(chow, "todd", lambda n, scale=1: ChowClass.unit(n, scale))
+    with pytest.raises(CertificateError, match="Riemann-Roch"):
+        KClass.to_ch.__wrapped__(k)
 
 
 def test_kclass_chi_rejects_a_non_integer_value():
@@ -266,8 +302,3 @@ def test_kclass_arithmetic_rejects_an_ambient_mismatch():
     with pytest.raises(InputError, match="ambient mismatch"):
         a - b
 
-
-def test_line_bundle_class_rejects_a_non_integer_chi(monkeypatch):
-    monkeypatch.setattr(chow, "gbinom", lambda a, b: Fraction(1, 2))
-    with pytest.raises(CertificateError, match="line bundle"):
-        chow._line_bundle_class.__wrapped__(2, 1)

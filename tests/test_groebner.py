@@ -604,6 +604,14 @@ def test_shifted_monomial_module_series_property():
             assert sub.piece_dim(d) == sum(
                 graded_piece_dim(ring, [ring.monomial(e) for e in leads], d - s)
                 for leads, s in zip(per_comp, shifts) if d >= s)
+        # a negative shift makes the numerator a Laurent polynomial; past
+        # its top exponent the Hilbert polynomial still counts the quotient
+        hp = sub.hilbert_polynomial()
+        k0 = max(0, max(sub.numerator(), default=0))
+        for k in range(k0, k0 + 3):
+            assert sum(a * comb(k + j, j) for j, a in enumerate(hp)) == sum(
+                _staircase_count(leads, ring, k - s)
+                for leads, s in zip(per_comp, shifts))
 
     check()
 

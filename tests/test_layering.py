@@ -100,3 +100,11 @@ def test_primitive_integers_is_used_only_by_linalg_and_the_scaling_helpers():
                     and node.attr == "primitive_integers"):
                 users.add((module, fn))
     assert {u for u in users if u[0] != "linalg"} == SCALING_HELPERS
+
+
+def test_chow_imports_nothing_from_linalg():
+    # K-classes, Hilbert polynomials and Chern characters convert by closed
+    # forms; a linear solve between them would be a second route
+    found = [f"chow.py:{line}" for line, target, _ in
+             _syzkit_imports(_trees()["chow"]) if target == "linalg"]
+    assert not found, f"chow imports linalg: {found}"

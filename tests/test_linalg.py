@@ -1,19 +1,18 @@
 """Exact linear algebra: rank, kernel (with its certificates and a sympy
-differential test), rank-nullity, determinism, the incremental span,
-primitive scaling and the Hilbert-polynomial fit."""
+differential test), rank-nullity, determinism, the incremental span and
+primitive scaling."""
 
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 import pytest
 
 from syzkit import linalg
 from syzkit.errors import CertificateError, UnsupportedFieldError
 from syzkit.fields import GF, QQ
-from syzkit.linalg import (CERT_PRIME, Matrix, Span, fit_hilbert_polynomial,
-                           primitive_integers, random_matrix, rank_at_least,
-                           rank_reaches)
+from syzkit.linalg import (CERT_PRIME, Matrix, Span, primitive_integers,
+                           random_matrix, rank_at_least, rank_reaches)
 
 
 def random_int_matrix(nrows, ncols, seed, bound=None):
@@ -36,6 +35,18 @@ def zeros(field, nrows, ncols):
 def transpose(m):
     return Matrix(m.field, [[m.rows[i][j] for i in range(m.nrows)]
                             for j in range(m.ncols)])
+
+
+def mul_vector(m, vec):
+    """The product m * vec over m's field."""
+    f = m.field
+    out = []
+    for row in m.rows:
+        acc = f.zero
+        for a, b in zip(row, vec):
+            acc = f.add(acc, f.mul(a, b))
+        out.append(acc)
+    return out
 
 
 def test_identity_rank_and_kernel():
@@ -82,7 +93,7 @@ def test_rank_nullity_and_exact_kernel_200_random():
         assert rank + len(kernel) == nc
         assert rank <= min(nr, nc)
         for v in kernel:
-            assert all(fp.is_zero(c) for c in m.mul_vector(v))
+            assert all(fp.is_zero(c) for c in mul_vector(m, v))
 
 
 def _canonical(vec):
@@ -223,18 +234,9 @@ def test_random_matrix_needs_prime_field():
         random_matrix(QQ, 2, 2, 0)
 
 
-def test_solve_particular_solution():
-    m = Matrix(QQ, [[Fraction(1), Fraction(2)], [Fraction(3), Fraction(4)]])
-    x = m.solve([Fraction(5), Fraction(11)])
-    assert m.mul_vector(x) == [Fraction(5), Fraction(11)]
-    inconsistent = Matrix(QQ, [[Fraction(1), Fraction(1)],
-                               [Fraction(2), Fraction(2)]])
-    assert inconsistent.solve([Fraction(0), Fraction(1)]) is None
-
-
 def mul(a, b):
     """The matrix product a * b, from mul_vector on the columns of b."""
-    cols = [a.mul_vector(col) for col in transpose(b).rows]
+    cols = [mul_vector(a, col) for col in transpose(b).rows]
     return transpose(Matrix(a.field, cols))
 
 
@@ -290,17 +292,6 @@ def test_primitive_integers():
     assert all(Fraction(a) * vec[0] == b * ints[0] for a, b in zip(ints, vec))
     assert primitive_integers([Fraction(0)] * 3) == [0, 0, 0]
     assert primitive_integers([4, 6, -8]) == [2, 3, -4]
-
-
-def test_fit_hilbert_polynomial():
-    # C(k+2, 2) is the Hilbert polynomial of k[x0, x1, x2]
-    assert fit_hilbert_polynomial(2, range(5), lambda k: comb(k + 2, 2)) \
-        == (0, 0, 1)
-    assert fit_hilbert_polynomial(1, range(3, 7), lambda k: 2 * k - 5) == (-7, 2)
-    # values with a non-integer binomial coefficient
-    assert fit_hilbert_polynomial(1, range(4), lambda k: Fraction(k, 2)) is None
-    # the fit points agree with a line, a check point does not
-    assert fit_hilbert_polynomial(1, range(4), lambda k: min(k, 2)) is None
 
 
 # -- forward-only and certified ranks -----------------------------------------

@@ -258,6 +258,20 @@ def _draw_point(data, st, field, nv):
         st.lists(coord, min_size=nv, max_size=nv).filter(any)))
 
 
+def test_parse_reads_back_to_str_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from((QQ, GF(101))), st.integers(1, 4), st.data())
+    def check(field, nv, data):
+        ring = PolyRing(field, nv)
+        f = _draw_form(data, st, ring, _draw_point(data, st, field, nv))
+        assert ring.parse(f.to_str()) == f
+
+    check()
+
+
 def test_values_at_zero_test_agrees_with_evaluate_property():
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")

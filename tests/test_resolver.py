@@ -9,7 +9,7 @@ import pytest
 
 import syzkit.groebner as groebner
 import syzkit.resolver as resolver
-from syzkit.chow import ChernVector, ChowClass
+from syzkit.chow import ChernVector, ChowClass, KClass
 from syzkit.errors import (CertificateError, GenericityError, InputError,
                            ThresholdError)
 from syzkit.fields import GF, QQ
@@ -335,6 +335,16 @@ def test_chain_on_p2_is_the_surface_stage():
     # terminal E = K(-mH): c1 = -6 - 17*2*3, c2 follows from the twist rule
     assert rep["terminal"]["chern"] == (1, -108, 5505)
     assert rep["terminal"]["rank"] == 17
+
+
+@pytest.mark.parametrize("name", ["three-points", "line-p3"])
+def test_one_resolve_computes_the_ideal_sheaf_character_once(name):
+    # stage 0 and the chain residual both read ch(I_Z) at scale d
+    z, d = builtin_subscheme(name)
+    KClass.to_ch.cache_clear()
+    build_chain(z, Polarization(z.n, d))
+    info = KClass.to_ch.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_chain_line_p3_frozen():
