@@ -4,7 +4,9 @@ JSON output is deterministic (sorted keys, no timestamps, the run config
 echoed back), so identical (config, seed) pairs produce byte-identical
 reports.  Text output is a human rendering of the same data and is not a
 stable interface.  Every failure exits nonzero with a machine-readable
-payload {code, message, details?, hint?} on stdout.
+payload {code, message, details?, hint?} on stdout, except an argparse
+usage error (an unknown subcommand, suite or builtin, a missing or
+malformed option): it exits 2 with usage text on stderr and no payload.
 """
 
 import argparse

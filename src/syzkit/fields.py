@@ -106,12 +106,12 @@ class PrimeField:
     def __call__(self, a, b=None):
         p = self.p
         if b is not None:
-            return a % p * pow(b % p, p - 2, p) % p
+            if b % p == 0:
+                raise ZeroDivisionError(f"denominator {b} is zero in {self.name}")
+            return a % p * pow(b, -1, p) % p
         if isinstance(a, int):
             return a % p
         if isinstance(a, Fraction):
-            if a.denominator % p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {p}")
             return self(a.numerator, a.denominator)
         raise UnsupportedFieldError(f"cannot coerce {a!r} into {self.name}")
 

@@ -4,24 +4,22 @@ integer scaling.  There is no linear solve: Hilbert polynomials, K-classes
 and Chern characters convert by closed forms (groebner.series_polynomial,
 chow.KClass).
 
-Over Q the forward elimination is fraction-free (Bareiss): rows are scaled
-to integers once and every intermediate entry stays an integer (a minor of
-the scaled matrix), so no rational blow-up occurs mid-elimination.  The
-kernel stays fraction-free too: back-substitution on the Bareiss echelon
-keeps an integer vector and rescales it only by what the next pivot
-division needs, and each kernel vector is verified exactly against every
-scaled integer row.  Over F_p a kernel comes from the reduced echelon
-form mod p; a rank is forward-only, the pivot count of a Span, with no
-clearing above the pivots.  A Span over F_p keeps each row packed in one
-Python int: a reduction step is one big-int multiply-add, and one
-slot-wise Barrett reduction brings every slot back to an exact residue at
-once (the slot width is argued at Span).
+Every rank and kernel is decided by one elimination, the incremental row
+echelon Span: a rank counts the rows a Span accepts, and a kernel
+back-substitutes on its rows sorted by pivot, one vector per free column,
+each verified exactly against every integer row.  Over Q a Span keeps
+primitive integer rows, so no rational blow-up occurs mid-elimination, and
+back-substitution rescales its integer vector only by what the next pivot
+division needs.  Over F_p a Span keeps each row packed in one Python int
+(a reduction step is one big-int multiply-add, and one slot-wise Barrett
+reduction per pass restores exact residues; see Span), and a kernel
+back-substitutes mod p on the rows unpacked to pivot 1.
 
 rank_reaches is the one test "is the rank at least target?"; over Q a
-rank mod CERT_PRIME that reaches target proves it, and Bareiss runs only
-on a miss.  Rows that already are ints (the integer rows polyring builds)
-are ranked as they are, with no second scaling.  rank_at_least is the
-exact rank under a proven upper bound.
+rank mod CERT_PRIME that reaches target proves it, and the Span over Q
+runs only on a miss.  Rows that already are ints (the integer rows
+polyring builds) are ranked as they are, with no second scaling.
+rank_at_least is the exact rank under a proven upper bound.
 """
 
 import random
@@ -38,7 +36,8 @@ CERT_PRIME = 2 ** 31 - 1
 
 
 class Matrix:
-    """Row-major dense matrix over an exact field."""
+    """Row-major dense matrix over an exact field; a Span decides its rank
+    and its kernel."""
 
     def __init__(self, field, rows):
         self.field = field
@@ -59,24 +58,34 @@ class Matrix:
     # -- elimination -------------------------------------------------------
 
     def rank(self):
-        if isinstance(self.field, PrimeField):
-            return rank_at_least(self.field, self.rows,
-                                 min(self.nrows, self.ncols))
-        return self._echelon()[0]
+        """The number of rows a Span accepts."""
+        return sum(map(Span(self.field).add, self.rows))
 
     def rank_and_kernel(self):
         """Return (rank, kernel basis), one basis vector per free column.
         Over Q each vector is a primitive integer vector with a positive
-        leading entry, given as Fractions.  Certified by rank-nullity and by
-        an exact integer product of every kernel vector with every row of
-        the scaled matrix; a failure raises CertificateError."""
-        rank, pivots, echelon, ints = self._echelon()
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            kernel = _kernel_from_rref(pivots, echelon, self.ncols, p)
+        leading entry, given as Fractions.  The rows, as residues mod p or
+        over Q scaled to primitive integers, go through one Span, whose
+        rows sorted by pivot are the echelon form to back-substitute on.
+        Certified by rank-nullity and by an exact integer product of every
+        kernel vector with every integer row; a failure raises
+        CertificateError."""
+        p = self.field.p if isinstance(self.field, PrimeField) else None
+        if p is None:
+            ints = [primitive_integers(r) for r in self.rows]
         else:
-            p = None
-            kernel = _integer_kernel(pivots, echelon, self.ncols)
+            ints = [[int(c) % p for c in r] for r in self.rows]
+        span = Span(self.field)
+        for r in ints:
+            span.add(r)
+        echelon = sorted(zip(span.pivots, span.rows))  # pivots are distinct
+        pivots = [piv for piv, _ in echelon]
+        rows = [row for _, row in echelon]
+        if p is None:
+            kernel = _integer_kernel(pivots, rows, self.ncols)
+        else:
+            kernel = _kernel_mod_p(pivots, rows, self.ncols, p)
+        rank = len(pivots)
         if rank + len(kernel) != self.ncols:
             raise CertificateError("kernel fails rank-nullity", rank=rank,
                                    nullity=len(kernel), ncols=self.ncols)
@@ -88,75 +97,11 @@ class Matrix:
     def kernel(self):
         return self.rank_and_kernel()[1]
 
-    def _echelon(self):
-        """(rank, pivots, echelon rows, integer rows).  The integer rows are
-        the matrix as residues mod p, or over Q each row scaled to primitive
-        integers; elimination replaces rows and never mutates one, so they
-        come back unchanged."""
-        if isinstance(self.field, PrimeField):
-            p = self.field.p
-            ints = [[int(c) % p for c in r] for r in self.rows]
-            return (*self._echelon_fp(list(ints)), ints)
-        ints = [primitive_integers(r) for r in self.rows]
-        return (*_bareiss(list(ints), self.ncols), ints)
 
-    def _echelon_fp(self, rows):
-        p = self.field.p
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = pow(rows[r][c], p - 2, p)
-            rows[r] = [v * inv % p for v in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c]:
-                    m = rows[i][c]
-                    rows[i] = [(a - m * b) % p for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return r, pivots, rows
-
-
-def _bareiss(rows, ncols):
-    """(rank, pivots, echelon rows) of integer rows by fraction-free forward
-    elimination; every division by the previous pivot must be exact
-    (CertificateError otherwise)."""
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pc = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            ic = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            # rows from r on are zero left of c, and column c cancels
-            new = [0] * (c + 1)
-            for j in range(c + 1, ncols):
-                q, rem = divmod(pc * row_i[j] - ic * row_r[j], prev)
-                if rem:
-                    raise CertificateError("Bareiss division is not exact",
-                                           column=c, row=i)
-                new.append(q)
-            rows[i] = new
-        prev = pc
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return r, pivots, rows[:r]
-
-
-def _kernel_from_rref(pivots, rows, ncols, p):
-    """Kernel basis mod p from a reduced row echelon form."""
+def _kernel_mod_p(pivots, rows, ncols, p):
+    """Kernel basis mod p by back-substitution on echelon rows with pivot
+    entry 1: per free column, the vector that is 1 there and 0 at every
+    other free column."""
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -164,16 +109,21 @@ def _kernel_from_rref(pivots, rows, ncols, p):
             continue
         v = [0] * ncols
         v[fc] = 1
-        for p_i, row in zip(pivots, rows):
-            v[p_i] = -row[fc] % p
+        support = [fc]
+        for piv, row in zip(reversed(pivots), reversed(rows)):
+            s = sum(row[j] * v[j] for j in support) % p
+            if s:
+                v[piv] = p - s
+                support.append(piv)
         basis.append(v)
     return basis
 
 
 def _integer_kernel(pivots, rows, ncols):
-    """Kernel basis over Q from a Bareiss echelon, in integers throughout:
-    per free column, a primitive integer vector with a positive leading
-    entry (the rational back-substitution scaled to coprime integers)."""
+    """Kernel basis over Q from integer echelon rows, in integers
+    throughout: per free column, a primitive integer vector with a positive
+    leading entry (the rational back-substitution scaled to coprime
+    integers)."""
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
@@ -357,8 +307,8 @@ def rank_reaches(field, rows, target):
     go forward-only through one Span, which stops with True once it holds
     target rows and with False once the rows left cannot bring it there.
     Over Q the _integer_rows are ranked mod CERT_PRIME: rank mod p <= rank
-    over Q, so reaching target is a proof, and only a miss is decided by
-    Bareiss."""
+    over Q, so reaching target is a proof, and only a miss is decided by a
+    Span over Q."""
     if len(rows) < target:
         return False
     if not isinstance(field, PrimeField):
@@ -380,15 +330,12 @@ def rank_at_least(field, rows, bound):
 
     rank_reaches settles the common case, the rank reaching the bound, in
     one forward pass mod p (over Q on the _integer_rows mod CERT_PRIME).
-    On a miss the rank is counted exactly: by Bareiss over Q, by a full
-    forward pass over F_p."""
+    On a miss the rank is counted exactly, by a Span over the field."""
     if isinstance(field, PrimeField):
-        if rank_reaches(field, rows, bound):
-            return bound
-        return sum(map(Span(field).add, rows))
-    if rank_reaches(GF(CERT_PRIME), _integer_rows(rows), bound):
-        return bound
-    return Matrix(field, rows).rank()
+        reached = rank_reaches(field, rows, bound)
+    else:
+        reached = rank_reaches(GF(CERT_PRIME), _integer_rows(rows), bound)
+    return bound if reached else Matrix(field, rows).rank()
 
 
 def random_matrix(field, nrows, ncols, seed):

@@ -504,7 +504,12 @@ def _parse_poly(ring, text):
                     pos += 1
                     if pos >= len(tokens) or not tokens[pos].isdigit():
                         raise ParseError("malformed rational coefficient")
-                    coeff = field.mul(coeff, field(num, int(tokens[pos])))
+                    den = int(tokens[pos])
+                    try:
+                        coeff = field.mul(coeff, field(num, den))
+                    except ZeroDivisionError:
+                        raise ParseError(f"coefficient {num}/{den} has a zero "
+                                         f"denominator in {field!r}") from None
                     pos += 1
                 else:
                     coeff = field.mul(coeff, field(num))

@@ -107,7 +107,7 @@ def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
     equality then propagates upward because R_1 * (I)_k = (I)_(k+1) for
     k >= reg.  reg is the known regularity of the ideal (by default that of
     its minimal resolution).  Each span dimension is a rank_at_least against
-    min(#multiples, dim (I)_k), so Bareiss over Q runs only when the mod-p
+    min(#multiples, dim (I)_k), so a Span over Q runs only when the mod-p
     rank misses that bound.
     points, when given, are the reduced points the ideal vanishes on
     exactly: membership of V is then checked by vanish_at, and a fiberwise

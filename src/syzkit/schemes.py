@@ -293,7 +293,7 @@ def restriction_kernel(v_basis, w_rows):
     degree-md monomial basis (product_rows, or multiple_rows at md): the
     kernel V ∩ span(W) has dimension #V + #W - rank(V + W).  V's rows are
     multiple_rows(ring, V, md), its int_terms.  #V and rank(V + W) <= #V +
-    #W are rank_at_least checks, so Bareiss over Q runs only when a mod-p
+    #W are rank_at_least checks, so a Span over Q runs only when a mod-p
     rank misses its bound."""
     ring = v_basis[0].ring
     field = ring.field

@@ -234,6 +234,17 @@ def test_input_that_is_not_utf8_exits_with_input_payload(capsys, tmp_path):
     assert payload["details"] == {"offset": "0", "path": str(path)}
 
 
+def test_zero_denominator_in_ideal_input_exits_with_parse_payload(
+        capsys, tmp_path):
+    path = tmp_path / "z.txt"
+    path.write_text("ambient: 2\nd: 3\nideal:\nx0*x1 - 1/0*x2^2\n")
+    code, out = run(capsys, "resolve", "--input", str(path))
+    assert code == 1
+    assert json.loads(out) == {
+        "code": "parse",
+        "message": "coefficient 1/0 has a zero denominator in QQ"}
+
+
 def test_unknown_suite_rejected_by_parser():
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])

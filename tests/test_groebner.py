@@ -621,3 +621,35 @@ def test_series_numerator_of_known_ideals():
     assert hilbert_numerator([(0, 0, 0)]) == {}
     assert hilbert_numerator([]) == {0: 1}
     assert hilbert_numerator([(2, 0, 0), (1, 1, 0)]) == {0: 1, 2: -2, 3: 1}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
+def test_groebner_postconditions_property(field):
+    """Every S-pair of a buchberger basis reduces to 0, and the reduced
+    basis of an ideal does not change when its generators are permuted or
+    scaled by nonzero constants."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    nonzero = st.builds(lambda s, a, b: field(s * a, b), st.sampled_from(
+        (-1, 1)), st.integers(1, 9), st.integers(1, 9))
+
+    @hyp.settings(max_examples=30, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from(((3, (1, 2, 3)), (4, (1, 2)))), st.data())
+    def check(shape, data):
+        n, degrees = shape
+        ring = PolyRing(field, n)
+        gens = []
+        for _ in range(data.draw(st.integers(2, 3))):
+            d = data.draw(st.sampled_from(degrees))
+            mons = data.draw(st.lists(st.sampled_from(
+                ring.monomials_of_degree(d)), min_size=1, max_size=4,
+                unique=True))
+            gens.append(ring.from_terms(
+                {m: data.draw(nonzero) for m in mons}, degree=d))
+        _, vecs = vecs_from_polys(ring, gens)
+        spair_postcondition(buchberger(vecs))
+        order = data.draw(st.permutations(range(len(gens))))
+        moved = [gens[i].scale(data.draw(nonzero)) for i in order]
+        assert Ideal(ring, moved).gb == Ideal(ring, gens).gb
+
+    check()

@@ -323,15 +323,19 @@ def test_certified_and_forward_ranks_match_the_echelon_ranks(field):
             rows = [[field(rng.randrange(-4, 5)) for _ in range(nc)]
                     for _ in range(nr)]
         m = Matrix(field, rows)
-        # Bareiss over Q, the reduced echelon form over F_p
-        exact = m._echelon()[0]
+        # sympy over Q, the dense reduced echelon form over F_p
+        if field == QQ:
+            exact = pytest.importorskip("sympy").Matrix(rows).rank()
+        else:
+            exact = _dense_rank(field.p, rows)
         assert m.rank() == exact
         # any proven upper bound gives the exact rank
         for bound in {exact, min(nr, nc), nr}:
             assert rank_at_least(field, rows, bound) == exact
 
 
-def test_certified_rank_falls_back_to_bareiss_on_a_rank_drop_mod_p(monkeypatch):
+def test_certified_rank_falls_back_to_the_q_span_on_a_rank_drop_mod_p(
+        monkeypatch):
     rows = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(CERT_PRIME)]]
     assert Matrix(GF(CERT_PRIME), [[1, 0], [1, CERT_PRIME]]).rank() == 1
     calls = []
@@ -344,18 +348,11 @@ def test_certified_rank_falls_back_to_bareiss_on_a_rank_drop_mod_p(monkeypatch):
     monkeypatch.setattr(Matrix, "rank", spy)
     assert rank_at_least(QQ, rows, 2) == 2
     assert calls == [QQ]
-    # a bound the mod-p rank reaches needs no Bareiss
+    # a bound the mod-p rank reaches needs no rank over Q
     calls.clear()
     assert rank_at_least(QQ, [[Fraction(1), Fraction(0)],
                               [Fraction(1), Fraction(3)]], 2) == 2
     assert calls == []
-
-
-def test_bareiss_rejects_an_inexact_division():
-    # integer rows keep every division exact; a non-integer entry breaks the
-    # invariant, and the elimination says so instead of truncating
-    with pytest.raises(CertificateError, match="Bareiss"):
-        linalg._bareiss([[Fraction(1, 2), 1], [1, 1], [1, 3]], 2)
 
 
 def test_span_over_q_keeps_primitive_integer_rows():
@@ -407,10 +404,52 @@ def _raw_rows(rng, p, nr, nc):
     return rows
 
 
+def _dense_echelon(p, rows):
+    """(pivots, rows) of the reduced row echelon form mod p, by dense
+    Gauss-Jordan elimination on lists of residues: the reference for the
+    packed Span."""
+    rows = [[c % p for c in r] for r in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                m = rows[i][c]
+                rows[i] = [(a - m * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, rows[:r]
+
+
 def _dense_rank(p, rows):
     """The rank from the reduced echelon form mod p."""
-    m = Matrix(GF(p), rows)
-    return m._echelon_fp([[c % p for c in r] for r in rows])[0]
+    return len(_dense_echelon(p, rows)[0])
+
+
+def _dense_kernel(p, rows):
+    """Kernel basis mod p read off the reduced echelon form: per free
+    column, 1 there, 0 at the other free columns, minus that column of the
+    echelon row at each pivot."""
+    pivots, rref = _dense_echelon(p, rows)
+    basis = []
+    for fc in range(len(rows[0])):
+        if fc in pivots:
+            continue
+        v = [0] * len(rows[0])
+        v[fc] = 1
+        for pc, row in zip(pivots, rref):
+            v[pc] = -row[fc] % p
+        basis.append(v)
+    return basis
 
 
 @pytest.mark.parametrize("p", PRIMES, ids=str)
@@ -518,6 +557,38 @@ def test_packed_rank_matches_sympy_property():
         assert sum(span.add(r) for r in rows) == expected
         assert rank_reaches(field, rows, expected)
         assert not rank_reaches(field, rows, expected + 1)
+
+    check()
+
+
+def test_fp_kernels_match_the_dense_echelon_kernels_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hyp.settings(max_examples=150, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from((2, 3, 101, 2 ** 31 - 1)),
+               st.sampled_from(("1 x n", "n x 1", "m x n")),
+               st.integers(1, 8), st.integers(1, 8), st.data())
+    def check(p, shape, nr, nc, data):
+        if shape == "1 x n":
+            nr = 1
+        elif shape == "n x 1":
+            nc = 1
+        entries = st.one_of(st.integers(0, p - 1), st.integers(-2 * p, 2 * p))
+        rows = data.draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                                  min_size=nr, max_size=nr))
+        # zero rows, zero columns and a sum of two rows
+        zero_rows = data.draw(st.sets(st.integers(0, nr - 1)))
+        zero_cols = data.draw(st.sets(st.integers(0, nc - 1)))
+        rows = [[0 if i in zero_rows or j in zero_cols else c
+                 for j, c in enumerate(r)] for i, r in enumerate(rows)]
+        if data.draw(st.booleans()):
+            a, b = data.draw(st.integers(0, nr - 1)), data.draw(
+                st.integers(0, nr - 1))
+            rows.append([x + y for x, y in zip(rows[a], rows[b])])
+        rank, kernel = Matrix(GF(p), rows).rank_and_kernel()
+        assert rank == _dense_rank(p, rows)
+        assert kernel == _dense_kernel(p, rows)
 
     check()
 

@@ -1,7 +1,7 @@
-"""The exact certificates must not depend on `assert`: the linear-algebra,
-polynomial, Groebner, Chow, subscheme, resolver, module and curve suites,
-the CLI suite with its frozen report digests, and the end-to-end acceptance
-certificates also pass when Python runs with -O."""
+"""The exact certificates must not depend on `assert`: the field,
+linear-algebra, polynomial, Groebner, Chow, subscheme, resolver, module and
+curve suites, the CLI suite with its frozen report digests, and the
+end-to-end acceptance certificates also pass when Python runs with -O."""
 
 import os
 import pathlib
@@ -18,7 +18,8 @@ def test_certificate_suites_pass_under_python_O():
         p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_linalg.py", "tests/test_polyring.py",
+         "tests/test_fields.py", "tests/test_linalg.py",
+         "tests/test_polyring.py",
          "tests/test_groebner.py", "tests/test_chow.py", "tests/test_schemes.py",
          "tests/test_resolver.py", "tests/test_modtools.py",
          "tests/test_curves.py", "tests/test_cli.py",

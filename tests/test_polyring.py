@@ -127,6 +127,13 @@ def test_parser_grammar():
         ring.parse("x0 + x1*x2")
 
 
+def test_parser_rejects_a_zero_denominator():
+    for field, text in ((QQ, "x0*x1 - 1/0*x2^2"), (GF(7), "3/14*x0 + x1")):
+        with pytest.raises(ParseError, match="zero denominator"):
+            PolyRing(field, 3).parse(text)
+    assert PolyRing(GF(7), 3).parse("3/2*x0 + x1").coeffs[(1, 0, 0)] == 5
+
+
 def test_ring_mismatch_rejected():
     r1, r2 = PolyRing(QQ, 3), PolyRing(QQ, 4)
     with pytest.raises(RingMismatchError):

@@ -644,7 +644,7 @@ def test_points_route_never_reaches_saturation_or_resolution(monkeypatch):
         parse_subscheme_file("ambient: 2\nd: 3\nideal:\nx0\nx1\n")
 
 
-def test_generation_and_restriction_ranks_need_no_bareiss(monkeypatch):
+def test_generation_and_restriction_ranks_need_no_rank_over_q(monkeypatch):
     z, pol = three_points()
     ring = z.ring
     # a drawn V of dimension 18 in (I_Z)_6: its degree-7 multiples outnumber
@@ -669,7 +669,7 @@ def test_generation_and_restriction_ranks_need_no_bareiss(monkeypatch):
                                   "x1^3*x2", "x0*x2^3", "x1*x2^3")]
     assert restrict_to_curve(z, v4, conic) == (True, 6)
     assert q_ranks == []
-    # a kernel vector makes the union rank miss rank V + rank W: Bareiss
+    # a kernel vector makes the union rank miss rank V + rank W: a Q rank
     planted = v4 + [conic * ring.parse("x0*x1")]
     assert restrict_to_curve(z, planted, conic) == (False, 6)
     assert q_ranks == [(10, 15)]
@@ -790,6 +790,7 @@ def test_rank_tests_and_genericity_never_unpack_span_rows(monkeypatch):
         assert rank_reaches(field, vecs, 2)
         assert not rank_reaches(field, vecs, 3)
         assert rank_at_least(field, vecs, 3) == 2
+        assert Matrix(field, vecs).rank() == 2
     rep = genericity_experiment(2, 2, 4, trials=10, seed=0,
                                 p=1073741789)
     assert rep["failures"] == 0
