@@ -6,8 +6,8 @@ chow.KClass).
 
 Every rank and kernel is decided by one elimination, the incremental row
 echelon Span: a rank counts the rows a Span accepts, and a kernel
-back-substitutes on its rows sorted by pivot, one vector per free column,
-each verified exactly against every integer row.  Over Q a Span keeps
+back-substitutes on its rows, latest stored first, one vector per free
+column, each verified exactly against every integer row.  Over Q a Span keeps
 primitive integer rows, so no rational blow-up occurs mid-elimination, and
 back-substitution rescales its integer vector only by what the next pivot
 division needs.  Over F_p a Span keeps each row packed in one Python int
@@ -65,8 +65,8 @@ class Matrix:
         """Return (rank, kernel basis), one basis vector per free column.
         Over Q each vector is a primitive integer vector with a positive
         leading entry, given as Fractions.  The rows, as residues mod p or
-        over Q scaled to primitive integers, go through one Span, whose
-        rows sorted by pivot are the echelon form to back-substitute on.
+        over Q scaled to primitive integers, go through one Span, and the
+        kernel back-substitutes on its rows.
         Certified by rank-nullity and by an exact integer product of every
         kernel vector with every integer row; a failure raises
         CertificateError."""
@@ -78,14 +78,13 @@ class Matrix:
         span = Span(self.field)
         for r in ints:
             span.add(r)
-        echelon = sorted(zip(span.pivots, span.rows))  # pivots are distinct
-        pivots = [piv for piv, _ in echelon]
-        rows = [row for _, row in echelon]
+        # a Span row is zero at the pivots of the rows stored before it, so
+        # the rows in reverse order of storage back-substitute like an echelon
         if p is None:
-            kernel = _integer_kernel(pivots, rows, self.ncols)
+            kernel = _integer_kernel(span.pivots, span.rows, self.ncols)
         else:
-            kernel = _kernel_mod_p(pivots, rows, self.ncols, p)
-        rank = len(pivots)
+            kernel = _kernel_mod_p(span.pivots, span.rows, self.ncols, p)
+        rank = len(span.pivots)
         if rank + len(kernel) != self.ncols:
             raise CertificateError("kernel fails rank-nullity", rank=rank,
                                    nullity=len(kernel), ncols=self.ncols)
@@ -99,8 +98,9 @@ class Matrix:
 
 
 def _kernel_mod_p(pivots, rows, ncols, p):
-    """Kernel basis mod p by back-substitution on echelon rows with pivot
-    entry 1: per free column, the vector that is 1 there and 0 at every
+    """Kernel basis mod p from the rows of a Span over F_p (pivot entry 1,
+    each zero at the pivots of the rows before it), back-substituted last
+    row first: per free column, the vector that is 1 there and 0 at every
     other free column."""
     pivot_set = set(pivots)
     basis = []
@@ -120,10 +120,11 @@ def _kernel_mod_p(pivots, rows, ncols, p):
 
 
 def _integer_kernel(pivots, rows, ncols):
-    """Kernel basis over Q from integer echelon rows, in integers
-    throughout: per free column, a primitive integer vector with a positive
-    leading entry (the rational back-substitution scaled to coprime
-    integers)."""
+    """Kernel basis over Q from the integer rows of a Span (each zero at
+    the pivots of the rows before it), back-substituted last row first, in
+    integers throughout: per free column, a primitive integer vector with a
+    positive leading entry (the rational back-substitution scaled to
+    coprime integers)."""
     pivot_set = set(pivots)
     basis = []
     for fc in range(ncols):
