@@ -108,7 +108,7 @@ class PrimeField:
         if b is not None:
             if b % p == 0:
                 raise ZeroDivisionError(f"denominator {b} is zero in {self.name}")
-            return a % p * pow(b, -1, p) % p
+            return self(a) * pow(b, -1, p) % p
         if isinstance(a, int):
             return a % p
         if isinstance(a, Fraction):

@@ -52,6 +52,7 @@ def test_prime_field_fraction_coercion():
         f(Fraction(1, 5))
     # the two-argument form too: 10 = 0 mod 5, so 3/10 has no value
     assert f(3, 2) == 4
+    assert f(Fraction(1, 2), 3) == f(1, 6) == 1
     with pytest.raises(ZeroDivisionError):
         f(3, 10)
     with pytest.raises(ZeroDivisionError):
