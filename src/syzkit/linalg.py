@@ -77,7 +77,12 @@ class Matrix:
             ints = [[int(c) % p for c in r] for r in self.rows]
         span = Span(self.field)
         for r in ints:
-            span.add(r)
+            if p is None:
+                # r is primitive already; the copy keeps it for the
+                # certificate, as _add_rational reduces its row in place
+                span._add_rational(list(r))
+            else:
+                span.add(r)
         # a Span row is zero at the pivots of the rows stored before it, so
         # the rows in reverse order of storage back-substitute like an echelon
         if p is None:
