@@ -825,40 +825,114 @@ def build_chain(z, pol, mode="numeric", seed=0, p=None, m_list=None,
 # -- experiments ---------------------------------------------------------------
 
 
+def _x0_block_to_identity(secs, r, p):
+    """Row operations mod p on the section rows, whose first r entries are
+    the x0 block, bringing that block to [I_r; 0] in place: rows 0..r-1
+    start with the unit vectors, the rest with zeros.  The rows change by
+    an invertible matrix, so they span what they spanned.  False when the
+    x0 block has rank below r."""
+    for c in range(r):
+        piv = next((j for j in range(c, len(secs)) if secs[j][c]), None)
+        if piv is None:
+            return False
+        secs[c], secs[piv] = secs[piv], secs[c]
+        inv = pow(secs[c][c], -1, p)
+        head = secs[c] = [x * inv % p for x in secs[c]]
+        for j, s in enumerate(secs):
+            a = s[c]
+            if a and j != c:
+                secs[j] = [(x - a * y) % p for x, y in zip(s, head)]
+    return True
+
+
+def _form_multiples(forms, r, count, cols, block):
+    """The multiples m*g in R'^r_(d+1), R' = F_p[x1..xn], for each g in
+    forms (a section row: entry k*r + i is the x_k coefficient of component
+    i; its x0 entries are not read) and each of the count degree-d
+    monomials m of R', in that order, each as (column, coefficient) pairs.
+    cols[k-1][m] is the position of x_k*m among the degree-(d+1) monomials,
+    and component i starts at column i*block."""
+    return [[(i * block + col_k[m], g[k * r + i])
+             for k, col_k in enumerate(cols, 1) for i in range(r)
+             if g[k * r + i]]
+            for g in forms for m in range(count)]
+
+
 def genericity_experiment(r, n, v, trials=100, seed=0, p=None, t_cap=None):
     """Count generation failures of seeded-random v-dimensional section
     subspaces of O(1)^r on P^n over F_p.
 
-    Generation holds iff the submodule the sections generate fills the
-    whole degree-t piece of R(1)^r for some t <= t_cap (piece equality
-    propagates upward), so each trial is a handful of rank_reaches tests
-    over F_p.  A degree with v * dim R_t < r * dim R_(t+1) is skipped
-    unbuilt: the rank is at most the number of multiples, so it cannot
-    reach the number of columns."""
+    A trial is the r x v matrix A = sum x_k A_k of linear forms whose
+    columns are the sections.  They generate iff the submodule they span
+    fills the whole degree-t piece of R(1)^r for some t <= t_cap (piece
+    equality propagates upward).  With R' = F_p[x1..xn]:
+    - If rank A_0 < r the trial fails: a filled degree t puts
+      x0^(t+1) e_j in the submodule, and evaluating at the point with
+      x0 = 1 and x1 = .. = xn = 0 puts e_j in the column space of A_0.
+    - Otherwise column operations, which keep the span of the sections,
+      bring A_0 to [I_r | 0], so s_i = x0 e_i + L e_i for i < r, with L an
+      r x r matrix of linear forms of R'.  Their leads x0 e_i lie in
+      distinct components, so they are a Groebner basis with no S-pairs;
+      the standard monomials span R'^r, on which x0 acts as -L.  Degree t
+      fills iff the normal forms (-L)^a (m s_i), i >= r, m in R'_(t-a),
+      span R'^r_(t+1): one rank_reaches test on (v - r) dim R_t rows of
+      r dim R'_(t+1) columns.  The rows of degree t are those of degree
+      t - 1 times L and the m s_i with deg m = t.
+    A degree with v dim R_t < r dim R_(t+1), which is (v - r) dim R_t <
+    r dim R'_(t+1) as dim R_(t+1) = dim R_t + dim R'_(t+1), is skipped
+    untested: the rank is at most the number of rows, so it cannot reach
+    the number of columns."""
     if p is None:
         p = DEFAULT_PRIME
     fp = GF(p)
     ring = PolyRing(fp, n + 1)
-    free = FreeModule(ring, (-1,) * r)
     if t_cap is None:
         t_cap = n + 2
+    tested = [t for t in range(t_cap + 1)
+              if v * ring.piece_dim(t) >= r * ring.piece_dim(t + 1)]
+    levels = tested[-1] + 1 if tested else 0
+    dims = [ring.piece_dim(d) - ring.piece_dim(d - 1)  # dim R'_d
+            for d in range(levels + 1)]
+    rest = PolyRing(fp, n)
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    cols = [[rest.product_columns(e, d) for e in units] for d in range(levels)]
+    variables = [e.index(1) for e in ring.monomials_of_degree(1)]
+    slot = 2 * p.bit_length() + (r * n).bit_length()
+    mask = (1 << slot) - 1
     rng = random.Random(f"genericity:{seed}")
     failures = 0
     for _ in range(trials):
-        vecs = []
+        secs = []
         for _ in range(v):
-            terms = {}
-            for comp in range(r):
-                for mono in ring.monomials_of_degree(1):
-                    c = rng.randrange(p)
-                    if c:
-                        terms[(comp, mono)] = fp(c)
-            vecs.append(Vec(free, terms, degree=0))
-        for t in range(t_cap + 1):
-            if v * ring.piece_dim(t) < r * ring.piece_dim(t + 1):
-                continue  # fewer multiples than columns: the rank falls short
-            rows = multiple_rows(ring, vecs, t)
-            if rank_reaches(fp, rows, free.piece_dim(t)):
+            s = [0] * (r * (n + 1))
+            for i in range(r):
+                for k in variables:
+                    s[k * r + i] = rng.randrange(p)
+            secs.append(s)
+        if not _x0_block_to_identity(secs, r, p):
+            failures += 1
+            continue
+        rows = []
+        for t in range(levels):
+            block = dims[t + 1]
+            width = r * block
+            if rows:
+                # L on R'^r_t, one packed int per basis image (a slot sums at
+                # most r*n products below p^2): L^a rather than (-L)^a
+                # changes a row by the sign (-1)^a only
+                step = [sum(c << q * slot for q, c in pairs)
+                        for pairs in _form_multiples(secs[:r], r, dims[t],
+                                                     cols[t], block)]
+                rows = [[(x >> j & mask) % p
+                         for j in range(0, width * slot, slot)]
+                        for x in (sum(a * b for a, b in zip(f, step) if a)
+                                  for f in rows)]
+            for pairs in _form_multiples(secs[r:], r, dims[t], cols[t], block):
+                row = [0] * width
+                for q, c in pairs:
+                    row[q] = c
+                rows.append(row)
+            if t in tested and rank_reaches(fp, rows, width):
                 break
         else:
             failures += 1

@@ -391,6 +391,39 @@ def test_genericity_reports_are_frozen(capsys, p, r, n, v, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout SHA-256 of the eight seed-0 genericity-fp benchmark runs and of two
+# small-prime runs that report failures (15 and 10 of 20), frozen before
+# each trial ranked the x0-normal forms instead of the full matrix
+@pytest.mark.parametrize("args,code,digest", [
+    ("--r 1 --n 1 --v 2 --trials 100 --seed 963322 --p 1073741789", 0,
+     "6b778b41fc00856e11a41b373952146e2d03a3d6fb5bcb8cc12060831bce79bc"),
+    ("--r 1 --n 2 --v 3 --trials 100 --seed 575837 --p 1073741789", 0,
+     "39345a0c8c4a5f76314c1b31b5871b4893b0a79332dbca4d68c1bbd2b5591776"),
+    ("--r 2 --n 2 --v 4 --trials 100 --seed 917745 --p 1073741789", 0,
+     "caea6b808af66e064ae32f7334a30adf14040ed5d59c020a53336d7ca838b513"),
+    ("--r 2 --n 3 --v 5 --trials 100 --seed 381904 --p 1073741789", 0,
+     "bab376a6f467ff78126c2edbc104187772e22fb1f4e623d6930a5af69e8f8c54"),
+    ("--r 3 --n 3 --v 6 --trials 100 --seed 163217 --p 1073741789", 0,
+     "54f1ebafc3881e56efe2c9f4c4205a46f1ead20646d11fb9d274903f589b9237"),
+    ("--r 1 --n 2 --v 2 --trials 25 --seed 212563", 1,
+     "54e4281db1099e804a667642c1a99ccadeffc9ef7fa14ffcfa32da0d8cc98b02"),
+    ("--r 3 --n 2 --v 4 --trials 25 --seed 850820", 1,
+     "cb06aba268456f06f1f6a6fd7d8b2a35b212e59e2c21c4862830fc8276ee7ba8"),
+    ("--r 4 --n 2 --v 5 --trials 25 --seed 846623", 1,
+     "90a451c665c0677759dfa0824bbb5781fa0614b4215e5a5b1c01637e8a967103"),
+    ("--r 2 --n 2 --v 4 --trials 20 --seed 0 --p 2", 1,
+     "c10cd6441010a65760100c6f19a512bc2b59d2e4d0a5edd9249a04512d339264"),
+    ("--r 3 --n 3 --v 6 --trials 20 --seed 0 --p 3", 1,
+     "308bada41a5a6accc25a300c7375cd1a163fa6db476ffb14b8062ebdc4004f17"),
+])
+def test_benchmark_and_small_prime_genericity_reports_are_frozen(
+        capsys, monkeypatch, args, code, digest):
+    monkeypatch.delenv("SYZKIT_PRIME", raising=False)
+    rc, out = run(capsys, "verify", "genericity", *args.split())
+    assert rc == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("argv", [
     ["resolve", "--builtin", "one-point"],
     ["resolve", "--builtin", "three-points"],

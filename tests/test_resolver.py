@@ -16,7 +16,7 @@ from syzkit.fields import GF, QQ
 from syzkit.groebner import (FreeModule, Ideal, Submodule, Vec, syzygies,
                              vecs_from_polys)
 from syzkit.linalg import Matrix, rank_at_least, rank_reaches
-from syzkit.polyring import GradedPoly, PolyRing
+from syzkit.polyring import GradedPoly, PolyRing, multiple_rows
 from syzkit.resolver import (_chern_inverse, _gradient_rows,
                              build_chain, build_surface_kernel,
                              chain_character_residual,
@@ -568,6 +568,103 @@ def test_genericity_negative_control():
     rep = genericity_experiment(1, 2, 2, trials=20, seed=0)
     assert rep["failures"] == 20
     assert rep["hypothesis_met"] is False
+
+
+def _reference_failures(r, n, v, trials, p, t_cap, rng):
+    """The full-matrix trial: the sections drawn in genericity_experiment's
+    order generate when, for some t <= t_cap, their multiples m*s (deg m =
+    t), v dim R_t integer rows, reach rank r dim R_(t+1) over F_p."""
+    fp = GF(p)
+    ring = PolyRing(fp, n + 1)
+    free = FreeModule(ring, (-1,) * r)
+    failures = 0
+    for _ in range(trials):
+        vecs = []
+        for _ in range(v):
+            terms = {}
+            for comp in range(r):
+                for mono in ring.monomials_of_degree(1):
+                    c = rng.randrange(p)
+                    if c:
+                        terms[(comp, mono)] = fp(c)
+            vecs.append(Vec(free, terms, degree=0))
+        if not any(rank_reaches(fp, multiple_rows(ring, vecs, t),
+                                free.piece_dim(t))
+                   for t in range(t_cap + 1)):
+            failures += 1
+    return failures
+
+
+def test_genericity_matches_the_full_matrix_reference_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    seen = []
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(st.sampled_from((2, 3, 5, 7, 101)), st.integers(1, 3),
+               st.integers(1, 3), st.integers(1, 6), st.integers(0, 99),
+               st.data())
+    def check(p, r, n, v, seed, data):
+        t_cap = data.draw(st.integers(0, n + 2))
+        rep = genericity_experiment(r, n, v, trials=3, seed=seed, p=p,
+                                    t_cap=t_cap)
+        want = _reference_failures(r, n, v, 3, p, t_cap,
+                                   random.Random(f"genericity:{seed}"))
+        assert rep["failures"] == want
+        seen.append(want)
+
+    check()
+    assert 0 < sum(seen) < 3 * len(seen)
+
+
+class _Scripted:
+    """Stands in for random.Random: randrange returns the next value."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def randrange(self, p):
+        return next(self._values)
+
+
+def _rank_reaches_spy(monkeypatch):
+    calls = []
+
+    def spy(field, rows, target):
+        calls.append((len(rows), sorted({len(row) for row in rows}), target))
+        return rank_reaches(field, rows, target)
+
+    monkeypatch.setattr(resolver, "rank_reaches", spy)
+    return calls
+
+
+def test_genericity_fails_a_singular_x0_block_without_a_rank_test(
+        monkeypatch):
+    """Each section's x0 coefficients are (a, 2a), so the x0 block has rank
+    1 < r = 2: at the point (1:0:0) the sections span one line only."""
+    draws = random.Random(5)
+    values = []
+    for _ in range(4):
+        a = draws.randrange(1, 101)
+        values += [a, draws.randrange(101), draws.randrange(101),
+                   2 * a % 101, draws.randrange(101), draws.randrange(101)]
+    monkeypatch.setattr(resolver, "random", SimpleNamespace(
+        Random=lambda seed: _Scripted(values)))
+    calls = _rank_reaches_spy(monkeypatch)
+    rep = genericity_experiment(2, 2, 4, trials=1, seed=0, p=101)
+    assert rep["failures"] == 1 and rep["hypothesis_met"] is True
+    assert calls == []
+    assert _reference_failures(2, 2, 4, 1, 101, 4, _Scripted(values)) == 1
+
+
+def test_genericity_ranks_the_x0_normal_forms(monkeypatch):
+    """On (r, n, v) = (3, 3, 6) degrees 0 and 1 have too few multiples, and
+    degree 2 ranks the (v - r) dim R_2 = 30 normal forms in R'^3_3, 30
+    columns (the full matrix had 60 rows of 60 columns)."""
+    calls = _rank_reaches_spy(monkeypatch)
+    rep = genericity_experiment(3, 3, 6, trials=1, seed=0, p=1073741789)
+    assert rep["failures"] == 0
+    assert calls == [(30, [30], 30)]
 
 
 def test_uniformity_frozen():
