@@ -172,6 +172,8 @@ def _whitney_suite(trials, seed, n=3):
 
 
 def cmd_butler(args):
+    if args.r < 1:
+        raise InputError("--r must be at least 1", r=args.r)
     e = CurveBundleInvariants(args.g, args.r, args.deg, semistable=True)
     m = butler_kernel_invariants(e)
     report = {

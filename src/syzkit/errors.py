@@ -56,10 +56,6 @@ class SpecialityError(SyzkitError):
     code = "speciality-unknown"
 
 
-class GeometricPositionError(SyzkitError):
-    code = "geometric-position"
-
-
 class ThresholdError(SyzkitError):
     code = "threshold"
 

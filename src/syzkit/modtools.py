@@ -20,6 +20,10 @@ from .groebner import (FreeModule, Ideal, PolyMatrix, Submodule, Vec,
                        minimal_generators, syzygies)
 from .linalg import Matrix
 
+MINOR_BUDGET = 3000
+WEDGE_BUDGET = 80
+AMBIENT_BUDGET = 220
+
 
 class GradedModulePresentation:
     """M = coker(relations: F1 -> F0); gen_shifts are the degrees of the
@@ -213,7 +217,7 @@ def _eval_matrix(pm, point, field):
     return rows
 
 
-def certify_locally_free(presentation, minor_budget=3000, seed=0):
+def certify_locally_free(presentation):
     """Exact local-freeness verdict for the sheaf of M = coker(A).
 
     verdict: ("locally-free", rank) | ("not-locally-free", locus_dim)
@@ -229,7 +233,7 @@ def certify_locally_free(presentation, minor_budget=3000, seed=0):
     if not presentation.relations:
         return ("locally-free", presentation.num_gens)
     nr, nc = a.nrows, a.ncols
-    rng = random.Random(seed)
+    rng = random.Random(0)
     fp = GF()
     pt = tuple(rng.randrange(1, fp.p) for _ in range(ring.num_vars))
     scalar = Matrix(fp, _eval_matrix(a, pt, fp)) if ring.field.characteristic == 0 \
@@ -237,12 +241,12 @@ def certify_locally_free(presentation, minor_budget=3000, seed=0):
     rho = scalar.rank()
     max_rho = min(nr, nc)
     while rho <= max_rho:
-        if comb(nr, rho) * comb(nc, rho) > minor_budget:
+        if comb(nr, rho) * comb(nc, rho) > MINOR_BUDGET:
             return ("inconclusive",
-                    f"minor count exceeds budget {minor_budget}")
-        if rho < max_rho and comb(nr, rho + 1) * comb(nc, rho + 1) > minor_budget:
+                    f"minor count exceeds budget {MINOR_BUDGET}")
+        if rho < max_rho and comb(nr, rho + 1) * comb(nc, rho + 1) > MINOR_BUDGET:
             return ("inconclusive",
-                    f"minor count exceeds budget {minor_budget}")
+                    f"minor count exceeds budget {MINOR_BUDGET}")
         # all (rho+1)-minors must vanish identically
         bigger_all_zero = True
         if rho < max_rho:
@@ -350,8 +354,7 @@ def _matrix_kernel_piece_dim(pm, t):
     return len(dom_basis) - mat.rank()
 
 
-def hoppe_check(free, gens, rank, slope, q_range=None, wedge_budget=80,
-                ambient_budget=220):
+def hoppe_check(free, gens, rank, slope):
     """Section-vanishing stability test for the sheaf of the submodule
     generated by gens (assumed locally free of the given rank; slope is
     c1/rank in L units, a Fraction).
@@ -362,13 +365,13 @@ def hoppe_check(free, gens, rank, slope, q_range=None, wedge_budget=80,
     ("inconclusive", detail); instability is never claimed."""
     if rank == 1:
         return ("stable-certified", {"reason": "rank 1: line bundle"})
-    qs = list(q_range) if q_range is not None else list(range(1, rank))
+    qs = range(1, rank)
     # certification needs every q, so any out-of-budget exterior power makes
     # the verdict inconclusive; scan budgets before doing any real work
     for q in qs:
         ambient = comb(free.rank, q)
         wedges = comb(len(gens), q)
-        if ambient > ambient_budget or wedges > wedge_budget:
+        if ambient > AMBIENT_BUDGET or wedges > WEDGE_BUDGET:
             return ("inconclusive", {
                 "q": q, "reason": "wedge budget exceeded",
                 "ambient_rank": ambient, "wedge_count": wedges})

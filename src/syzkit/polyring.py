@@ -11,8 +11,8 @@ GradedPoly.int_terms, the residues over F_p and primitive integers over Q
 caches, next to its degree-d monomial lists, a product-column table: for
 an exponent e and a multiplier degree k, the columns of the products e*m,
 m over the degree-k monomials (k = 0 is the column of e).  multiple_rows
-and product_rows read it to build integer rows of multiples and products,
-with no product polynomial formed.
+reads it to build integer rows of multiples, with no product polynomial
+formed.
 
 A form is evaluated at a point only as the sum c*value over its integer
 terms, against monomial_values: one table of the degree-t monomials at
@@ -353,22 +353,6 @@ def multiple_rows(ring, elems, d):
             for row, col in zip(block, ring.product_columns(e, k)):
                 row[offsets[comp] + col] = c
         rows += block
-    return rows
-
-
-def product_rows(f, polys):
-    """The rows of f*g for g in polys in the degree deg f + deg g monomial
-    basis: each g's int_terms times f's integer row, placed at
-    ring.product_columns.  Each is a nonzero multiple of f*g's row."""
-    ring = f.ring
-    f_row = multiple_rows(ring, [f], f.degree)[0]
-    rows = []
-    for g in polys:
-        row = [0] * ring.piece_dim(f.degree + g.degree)
-        for e, c in g.int_terms.items():
-            for col, a in zip(ring.product_columns(e, f.degree), f_row):
-                row[col] += c * a
-        rows.append(row)
     return rows
 
 

@@ -27,10 +27,10 @@ from .polyring import (PolyRing, integer_powers, monomial_values,
                        multiple_rows, piece_multiples, terms_value, values_at,
                        vanish_at)
 from .schemes import (Polarization, SubschemeData, curve_sections,
-                      h0_ideal_twist, h1_ideal_twist, restrict_to_curve,
-                      restriction_kernel)
+                      h0_ideal_twist, h1_ideal_twist, restrict_to_curve)
 
 RETRY_BUDGET = 8
+CURVE_TRIES = 40
 TWIST_CAP_FACTOR = 10
 PRESENTATION_BUDGET = 12
 
@@ -41,10 +41,10 @@ PRESENTATION_BUDGET = 12
 class GenerationReport:
     """Outcome of the graded-piece generation check.
 
-    verdict is one of "certified", "false", "uncertified".  Certification
-    logic: once the span of V * R_(k-m) equals the full ideal piece at a
-    single degree k0 >= reg, multiplying by R_1 propagates the equality to
-    every higher degree, so the twisted ideal sheaf is generated by V.
+    verdict is "certified" or "false".  Certification logic: once the span
+    of V * R_(k-m) equals the full ideal piece at a single degree
+    k0 >= reg, multiplying by R_1 propagates the equality to every higher
+    degree, so the twisted ideal sheaf is generated by V.
     """
 
     __slots__ = ("verdict", "max_degree_checked", "certified_at",
@@ -62,9 +62,6 @@ class GenerationReport:
     @property
     def certified(self):
         return self.verdict == "certified"
-
-    def __iter__(self):
-        return iter((self.certified, self.max_degree_checked))
 
     def __repr__(self):
         return (f"GenerationReport({self.verdict}, "
@@ -99,16 +96,17 @@ def _gradient_rows(ring, polys, point):
     return list(_jacobian_rows(_partials(ring, polys), values))
 
 
-def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
+def check_generation(v_polys, ideal, points=None, reg=None):
     """Does V generate the twisted ideal sheaf?
 
-    Compares dim span(V * R_(k-m)) with dim (I)_k for k = m..t_max and
-    certifies generation at the first equality degree k0 >= reg(I); the
-    equality then propagates upward because R_1 * (I)_k = (I)_(k+1) for
-    k >= reg.  reg is the known regularity of the ideal (by default that of
-    its minimal resolution).  Each span dimension is a rank_at_least against
-    min(#multiples, dim (I)_k), so a Span over Q runs only when the mod-p
-    rank misses that bound.
+    Compares dim span(V * R_(k-m)) with dim (I)_k for k from m to
+    max(reg + 1, m) + 2 and certifies generation at the first equality
+    degree k0 >= reg(I); the equality then propagates upward because
+    R_1 * (I)_k = (I)_(k+1) for k >= reg.  A V that this window does not
+    certify is "false".  reg is the known regularity of the ideal (by
+    default that of its minimal resolution).  Each span dimension is a
+    rank_at_least against min(#multiples, dim (I)_k), so a Span over Q runs
+    only when the mod-p rank misses that bound.
     points, when given, are the reduced points the ideal vanishes on
     exactly: membership of V is then checked by vanish_at, and a fiberwise
     Jacobian-spanning screen at each point supplies definitive failure
@@ -118,8 +116,6 @@ def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
     once it holds n rows.  Rank mod p <= rank over Q, so that proves the
     point is no witness; only a point where it falls short is decided
     exactly, by _gradient_rows and rank_reaches.
-    "uncertified" means the scan window was capped below the certification
-    threshold.
     """
     if not v_polys:
         raise InputError("empty section space")
@@ -133,9 +129,7 @@ def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
         raise InputError("section does not lie in the target ideal")
     if reg is None:
         reg = ideal.regularity()
-    threshold = max(reg + 1, md)
-    if t_max is None:
-        t_max = threshold + 2
+    t_max = max(reg + 1, md) + 2
     witness = None
     if points:
         n = ring.num_vars - 1
@@ -173,8 +167,7 @@ def check_generation(v_polys, ideal, t_max=None, points=None, reg=None):
     if certified_at is not None:
         return GenerationReport("certified", certified_at,
                                 certified_at=certified_at, table=table)
-    verdict = "false" if t_max >= threshold else "uncertified"
-    return GenerationReport(verdict, t_max, first_mismatch=first_mismatch,
+    return GenerationReport("false", t_max, first_mismatch=first_mismatch,
                             table=table)
 
 
@@ -278,12 +271,12 @@ def _draw_sections(rng, basis, dim_v, field, p):
     return out
 
 
-def _draw_curve_forms(rng, z, d, count, tries=40):
+def _draw_curve_forms(rng, z, d, count):
     """count degree-d forms cutting a complete intersection avoiding Z."""
     ring = z.ring
     field = ring.field
     mons = ring.monomials_of_degree(d)
-    for _ in range(tries):
+    for _ in range(CURVE_TRIES):
         forms = []
         for _ in range(count):
             f = ring.zero(d)
@@ -305,15 +298,7 @@ def _draw_curve_forms(rng, z, d, count, tries=40):
             continue
         return forms
     raise GenericityError("could not draw a curve avoiding the subscheme",
-                          tries=tries)
-
-
-def _ci_restriction(z, v_basis, forms):
-    """(injective, image_dim) of V -> H^0(C, O_C) for C = V(forms): the
-    kernel is V cap (forms)_md, against ideal_piece_basis of (forms)_md."""
-    ring, md = z.ring, v_basis[0].degree
-    basis = ideal_piece_basis(Ideal(ring, forms), md)
-    return restriction_kernel(v_basis, multiple_rows(ring, basis, md))
+                          tries=CURVE_TRIES)
 
 
 def _feasible_twist(z, pol, policy, mm):
@@ -346,7 +331,7 @@ def _minimal_twist(z, pol, policy):
                          cap=cap)
 
 
-def stage_kernel_generators(ring, v_basis, scan_cap, p=DEFAULT_PRIME):
+def stage_kernel_generators(ring, v_basis, scan_cap):
     """Generators of ker(V ⊗ R -> R(md)) by degreewise exact nullspaces.
 
     No Groebner machinery: the degree-t piece of the kernel is the exact
@@ -367,7 +352,7 @@ def stage_kernel_generators(ring, v_basis, scan_cap, p=DEFAULT_PRIME):
     for t = 0..scan_cap.
     """
     field = ring.field
-    fp = GF(p)
+    fp = GF(DEFAULT_PRIME)
     dim_v = len(v_basis)
     md = v_basis[0].degree
     ambient = FreeModule(ring, (0,) * dim_v)
@@ -415,8 +400,7 @@ def _integer_coords(w, index, t):
 
 
 def _build_kernel_stage(z, pol, m=None, policy="auto", seed=0, mode="numeric",
-                        p=None, retry_budget=RETRY_BUDGET, t_max=None,
-                        index=0):
+                        p=None):
     """Shared stage-0 construction on P^2 or P^3."""
     if mode not in ("numeric", "module"):
         raise InputError("mode must be numeric or module", mode=mode)
@@ -467,7 +451,7 @@ def _build_kernel_stage(z, pol, m=None, policy="auto", seed=0, mode="numeric",
     attempts = 0
     last_failure = None
     v_basis = injective = image_dim = gen_report = None
-    budget = 1 if full_space else retry_budget
+    budget = 1 if full_space else RETRY_BUDGET
     while attempts < budget:
         attempts += 1
         if full_space:
@@ -478,15 +462,11 @@ def _build_kernel_stage(z, pol, m=None, policy="auto", seed=0, mode="numeric",
             if cand is None:
                 last_failure = "coefficient matrix drop"
                 continue
-        if n == 2:
-            inj, img = restrict_to_curve(z, cand, forms[0])
-        else:
-            inj, img = _ci_restriction(z, cand, forms)
+        inj, img = restrict_to_curve(z, cand, forms)
         if enforce and not inj:
             last_failure = "restriction not injective"
             continue
-        rep = check_generation(cand, z.ideal, t_max=t_max, points=z.points,
-                               reg=reg)
+        rep = check_generation(cand, z.ideal, points=z.points, reg=reg)
         if not rep.certified:
             last_failure = f"generation {rep.verdict}"
             continue
@@ -530,7 +510,7 @@ def _build_kernel_stage(z, pol, m=None, policy="auto", seed=0, mode="numeric",
         except InputError:
             flags["h1_prev_twist_vanishes"] = None
 
-    stage = KernelStage(index, m, dim_v, rank, chern, flags,
+    stage = KernelStage(0, m, dim_v, rank, chern, flags,
                         v_basis=v_basis, curve_forms=forms, seed=seed)
     if not warning and cs is not None and dim_v == cs:
         try:
@@ -592,8 +572,7 @@ def _build_kernel_stage(z, pol, m=None, policy="auto", seed=0, mode="numeric",
 
 
 def build_surface_kernel(z, pol, m=None, policy="auto", seed=0,
-                         mode="numeric", p=None, retry_budget=RETRY_BUDGET,
-                         t_max=None):
+                         mode="numeric", p=None):
     """The evaluation-kernel bundle of a generic section space on P^2.
 
     Auto twist selection takes the minimal m with m*d >= reg+1 and
@@ -604,16 +583,15 @@ def build_surface_kernel(z, pol, m=None, policy="auto", seed=0,
     if pol.n != 2 or z.n != 2:
         raise InputError("surface stage requires P^2", n=z.n)
     return _build_kernel_stage(z, pol, m=m, policy=policy, seed=seed,
-                               mode=mode, p=p, retry_budget=retry_budget,
-                               t_max=t_max, index=0)
+                               mode=mode, p=p)
 
 
-def hoppe_stage(stage, **budgets):
+def hoppe_stage(stage):
     """Section-vanishing stability check of a module-mode stage kernel."""
     if stage.kernel_gens is None:
         raise InputError("stability check needs a module-mode stage")
     return hoppe_check(stage.ambient, stage.kernel_gens, stage.rank,
-                       stage.slope_l, **budgets)
+                       stage.slope_l)
 
 
 # -- the chain on P^3 ----------------------------------------------------------
@@ -692,7 +670,7 @@ def _acm_defect_table(z, degrees):
 
 
 def build_chain(z, pol, mode="numeric", seed=0, p=None, m_list=None,
-                policy="auto", retry_budget=RETRY_BUDGET):
+                policy="auto"):
     """The length-(n-1) evaluation-kernel chain resolving I_Z on P^n.
 
     P^2 delegates to build_surface_kernel (single stage).  On P^3 the
@@ -714,8 +692,7 @@ def build_chain(z, pol, mode="numeric", seed=0, p=None, m_list=None,
     d = pol.d
     m0 = m_list[0] if m_list else None
     stage0 = _build_kernel_stage(z, pol, m=m0, policy=policy, seed=seed,
-                                 mode=mode, p=p, retry_budget=retry_budget,
-                                 index=0)
+                                 mode=mode, p=p)
     if n == 2:
         terminal = chern_of_twist(stage0.chern, -stage0.m)
         flags = {"locally_free": stage0.flags.get(

@@ -13,15 +13,14 @@ from fractions import Fraction
 from itertools import count
 from math import comb
 
-from .errors import (CertificateError, CodimensionError,
-                     GeometricPositionError, InputError, NotSaturatedError,
-                     SpecialityError)
+from .errors import (CertificateError, CodimensionError, InputError,
+                     NotSaturatedError, SpecialityError)
 from .fields import QQ
 from .groebner import (Ideal, hilbert_numerator, ideal_piece_basis,
                        series_product)
 from .linalg import Matrix, rank_at_least
 from .polyring import (PolyRing, integer_powers, monomial_values,
-                       multiple_rows, product_rows, values_at, vanish_at)
+                       multiple_rows, vanish_at)
 
 
 class Polarization:
@@ -202,14 +201,6 @@ class SubschemeData:
     def quotient_hf(self, k):
         return self.ideal.quotient_piece_dim(k)
 
-    def contains(self, polys):
-        """True when every poly lies in I_Z.  With listed points (the whole
-        scheme, as construction checks) that is vanishing at every point,
-        evaluated in integers; otherwise a Groebner normal form each."""
-        if self.points is not None:
-            return vanish_at(polys, self.points)
-        return all(self.ideal.contains(f) for f in polys)
-
     def __repr__(self):
         tag = self.name or "Z"
         return f"Subscheme({tag}, P^{self.n}, codim={self.codim}, deg={self.degree})"
@@ -256,55 +247,45 @@ def curve_sections(pol, n, m):
     return deg + 1 - g
 
 
-def restrict_to_curve(z, v_basis, f):
-    """Restriction of a section space V of I_Z(mH) to the curve {f = 0}.
+def restrict_to_curve(z, v_basis, forms):
+    """Restriction of a section space V of I_Z(mH) to the curve C = V(forms),
+    one degree-d plane curve on P^2 or a complete intersection of two on
+    P^3.  Returns (injective, image_dim).
 
-    Returns (injective, image_dim).  The kernel of restriction is
-    V ∩ f·(I_Z)_{md-deg f} (f is a nonzerodivisor mod the saturated ideal
-    once C ∩ Z = ∅, which is checked first).  Membership of V in I_Z is
-    checked by SubschemeData.contains, by values_at for points, as is f's
-    value at each point.  R is a domain, so f times ideal_piece_basis is a
-    basis of f·(I_Z)_{md-deg f}; its rows are product_rows, in integers."""
-    field = z.ring.field
+    C is a complete intersection, so it is projectively normal and the
+    kernel of V -> H^0(C, O_C(md)) is V ∩ (forms)_md, against
+    ideal_piece_basis of (forms)_md as multiple_rows at md.  V lies in I_Z
+    (check_generation tests every V a stage keeps) and the forms avoid Z
+    (_draw_curve_forms), so on P^2 f is a nonzerodivisor on R/I_Z and the
+    kernel is V ∩ f·(I_Z)_{md-d}."""
     if not v_basis:
         return True, 0
-    target = v_basis[0].degree
-    if any(v.degree != target for v in v_basis):
+    md = v_basis[0].degree
+    if any(v.degree != md for v in v_basis):
         raise InputError("section space basis must be equigraded")
-    if not z.contains(v_basis):
-        raise InputError("section does not lie in the subscheme ideal")
-    if z.points is not None:
-        for p in z.points:
-            if not next(values_at([f], p)):
-                raise GeometricPositionError(
-                    "curve passes through a point of Z", point=[field.to_str(c) for c in p])
-    else:
-        meet = z.ideal.sum([f])
-        if not meet.is_projectively_empty():
-            raise GeometricPositionError("curve meets the subscheme")
-
-    lower = ideal_piece_basis(z.ideal, target - f.degree)
-    return restriction_kernel(v_basis, product_rows(f, lower))
+    ring = z.ring
+    basis = ideal_piece_basis(Ideal(ring, forms), md)
+    return restriction_kernel(v_basis, multiple_rows(ring, basis, md))
 
 
 def restriction_kernel(v_basis, w_rows):
     """(injective, image_dim) of V -> S_md / span(W) for a basis V of
     degree-md polynomials and a basis W given as integer rows in the
-    degree-md monomial basis (product_rows, or multiple_rows at md): the
-    kernel V ∩ span(W) has dimension #V + #W - rank(V + W).  V's rows are
-    multiple_rows(ring, V, md), its int_terms.  #V and rank(V + W) <= #V +
-    #W are rank_at_least checks, so a Span over Q runs only when a mod-p
-    rank misses its bound."""
+    degree-md monomial basis (multiple_rows at md): the kernel V ∩ span(W)
+    has dimension #V + #W - rank(V + W).  V's rows are multiple_rows(ring,
+    V, md), its int_terms.  #V and rank(V + W) <= min(#V + #W, dim S_md)
+    are rank_at_least checks, so a Span over Q runs only when a mod-p rank
+    misses its bound; V + W that fills S_md is certified mod p."""
     ring = v_basis[0].ring
     field = ring.field
-    v_rows = multiple_rows(ring, v_basis, v_basis[0].degree)
+    md = v_basis[0].degree
+    v_rows = multiple_rows(ring, v_basis, md)
     rank_v = rank_at_least(field, v_rows, len(v_rows))
     if rank_v != len(v_basis):
         raise CertificateError("section basis is linearly dependent",
                                rank=rank_v, size=len(v_basis))
-    if not w_rows:
-        return True, rank_v
-    rank_union = rank_at_least(field, v_rows + w_rows, rank_v + len(w_rows))
+    rank_union = rank_at_least(field, v_rows + w_rows,
+                               min(rank_v + len(w_rows), ring.piece_dim(md)))
     kernel = rank_v + len(w_rows) - rank_union
     return kernel == 0, rank_v - kernel
 

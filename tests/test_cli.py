@@ -205,10 +205,12 @@ POINTS_HEADER = "ambient: 2\nd: 3\npoints:\n"
     (["verify", "genericity", "--r", "1", "--n", "2", "--v", "0"], None, None),
     (["verify", "uniformity", "--d", "3", "--m", "1", "--points", "0"],
      None, None),
+    (["butler", "--g", "1", "--r", "0", "--deg", "3"], None, None),
+    (["butler", "--g", "2", "--r", "-3", "--deg", "15"], None, None),
 ], ids=["duplicate-points", "d-not-int", "ambient-not-int", "coord-not-rational",
         "coord-zero-denominator", "missing-file", "env-prime-not-int",
         "negative-trials", "zero-trials", "zero-r", "zero-n", "zero-v",
-        "zero-points"])
+        "zero-points", "butler-zero-rank", "butler-negative-rank"])
 def test_bad_input_exits_with_input_payload(capsys, monkeypatch, tmp_path,
                                            argv, text, prime):
     path = tmp_path / "z.txt"

@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from syzkit import modtools
 from syzkit.chow import KClass
 from syzkit.errors import CertificateError
 from syzkit.fields import QQ
@@ -157,13 +158,14 @@ def test_certify_koszul_kernel_locally_free():
     assert certify_locally_free(m) == ("locally-free", 1)
 
 
-def test_certify_respects_minor_budget():
+def test_certify_respects_minor_budget(monkeypatch):
+    monkeypatch.setattr(modtools, "MINOR_BUDGET", 1)
     ring = ring3()
     free, vecs = vecs_from_polys(ring, [ring.parse("x0*x1"),
                                         ring.parse("x0*x2"),
                                         ring.parse("x1*x2")])
     m = GradedModulePresentation.of_submodule(free, vecs)
-    verdict, reason = certify_locally_free(m, minor_budget=1)
+    verdict, reason = certify_locally_free(m)
     assert verdict == "inconclusive"
     assert "budget" in reason
 

@@ -2,18 +2,18 @@
 
 import random
 from fractions import Fraction
+from itertools import count
 from math import comb
 
 import pytest
 
-from syzkit.errors import (CertificateError, CodimensionError,
-                           GeometricPositionError, InputError,
+from syzkit.errors import (CertificateError, CodimensionError, InputError,
                            NotSaturatedError, SpecialityError)
 from syzkit.fields import GF, QQ
 from syzkit import groebner, linalg
 from syzkit.groebner import Ideal, ideal_piece_basis
 from syzkit.linalg import Matrix
-from syzkit.polyring import PolyRing, multiple_rows, piece_multiples
+from syzkit.polyring import PolyRing, multiple_rows, piece_multiples, vanish_at
 from syzkit.schemes import (BUILTIN_NAMES, Polarization, SubschemeData,
                             builtin_subscheme, curve_sections, h0_ideal_twist,
                             h1_ideal_twist, parse_subscheme_file, points_ideal,
@@ -127,7 +127,7 @@ def test_restrict_full_section_space_not_injective():
     v = ideal_piece_basis(z.ideal, 6)
     assert len(v) == 25
     f = ring.parse("x0^3 + x1^3 + x2^3 + x0*x1*x2")  # avoids all three points
-    injective, image = restrict_to_curve(z, v, f)
+    injective, image = restrict_to_curve(z, v, [f])
     assert image == 18  # = curve_sections(m=2)
     assert not injective  # kernel is f*(I_Z)_3, dimension 7
 
@@ -139,18 +139,59 @@ def test_restrict_detects_planted_kernel():
     f = ring.parse("x0^3 + x1^3 + x2^3 + x0*x1*x2")
     s = ideal_piece_basis(z.ideal, 3)[0]
     v = [f * s]
-    injective, image = restrict_to_curve(z, v, f)
+    injective, image = restrict_to_curve(z, v, [f])
     assert not injective and image == 0
 
 
-def test_restrict_rejects_curve_through_z():
-    z = three_points()
-    ring = z.ring
-    from syzkit.resolver import ideal_piece_basis
-    v = ideal_piece_basis(z.ideal, 6)[:3]
-    through = ring.parse("x0*x1*x2")  # vanishes at all three points
-    with pytest.raises(GeometricPositionError):
-        restrict_to_curve(z, v, through)
+def _plane_restriction_reference(z, v, f):
+    """(injective, image_dim) of V restricted to {f = 0} on P^2 as
+    V ∩ f·(I_Z)_{md-d}: f times ideal_piece_basis(z.ideal, md - d), ranked
+    by Matrix over Q."""
+    ring, md = z.ring, v[0].degree
+    w = [f * g for g in ideal_piece_basis(z.ideal, md - f.degree)]
+    rank = Matrix(QQ, [ring.to_vector(p, md) for p in v + w]).rank()
+    kernel = len(v) + len(w) - rank
+    return kernel == 0, len(v) - kernel
+
+
+def test_restriction_matches_the_plane_formula():
+    """On P^2, with V in I_Z and f off Z, restrict_to_curve's kernel
+    V ∩ (f)_md is V ∩ f·(I_Z)_{md-d}.  Seeded sets of 2-12 points, each
+    with a random f and a random V, a V with a planted kernel vector f*g,
+    or the full space (I_Z)_md."""
+    ring = PolyRing(QQ, 3)
+    seen = set()
+    for seed in range(36):
+        rng = random.Random(f"plane-restriction:{seed}")
+        z = SubschemeData.from_points(
+            ring, _random_reduced_points(rng, 3, 2 + seed % 11, QQ))
+        d = rng.randrange(1, 4)
+        f = ring.zero(d)
+        while f.is_zero() or any(f.evaluate(p) == 0 for p in z.points):
+            f = sum((ring.monomial(e, QQ(rng.randrange(-3, 4)))
+                     for e in ring.monomials_of_degree(d)), ring.zero(d))
+        m = next(k for k in count(1) if z.ideal.piece_dim(k * d) >= 2)
+        kind = ("random", "planted", "full")[seed % 3]
+        md = (m + (kind == "planted" or rng.randrange(2))) * d
+        basis = ideal_piece_basis(z.ideal, md)
+        v = list(basis)
+        while kind != "full":
+            v = [sum((b.scale(QQ(rng.randrange(-5, 6))) for b in basis),
+                     ring.zero(md))
+                 for _ in range(rng.randrange(1, len(basis) + 1))]
+            if kind == "planted":
+                lower = ideal_piece_basis(z.ideal, md - d)
+                g = sum((b.scale(QQ(rng.randrange(1, 6))) for b in lower),
+                        ring.zero(md - d))
+                v[0] = f * g
+            if Matrix(QQ, [ring.to_vector(p, md) for p in v]).rank() == len(v):
+                break
+        got = restrict_to_curve(z, v, [f])
+        assert got == _plane_restriction_reference(z, v, f), seed
+        assert kind != "planted" or not got[0]
+        seen.add((kind, got[0]))
+    assert {("random", True), ("random", False), ("planted", False),
+            ("full", False)} <= seen
 
 
 def test_subscheme_rejects_codimension_one():
@@ -451,9 +492,9 @@ def test_membership_by_evaluation_matches_the_normal_form(field):
             for g in multiples:
                 inside = inside + g.scale(field(rng.randrange(-5, 6)))
             nudge = ring.monomial(rng.choice(mons), field(rng.randrange(1, 6)))
-            assert z.contains([inside]) and z.ideal.contains(inside)
+            assert vanish_at([inside], z.points) and z.ideal.contains(inside)
             for f in (nudge, inside + nudge):
-                assert z.contains([f]) == z.ideal.contains(f)
+                assert vanish_at([f], z.points) == z.ideal.contains(f)
                 outside += not z.ideal.contains(f)
     assert outside >= 24
 
