@@ -1,11 +1,12 @@
-"""Exact syzygy-kernel toolkit: Groebner machinery over Q and F_p,
-minimal free resolutions, Chern/character bookkeeping, and stable
-kernel-bundle chains on projective spaces."""
+"""Exact syzygy-kernel toolkit: Groebner machinery over Q (F_p only
+certifies ranks and leads, and samples), minimal free resolutions,
+Chern/character bookkeeping, and stable kernel-bundle chains on projective
+spaces."""
 
 from .chow import ChernVector, ChowClass, KClass, bezout_h2
 from .curves import CurveBundleInvariants, butler_kernel_invariants
 from .errors import SyzkitError
-from .fields import GF, QQ, DEFAULT_PRIME, PrimeField, RationalField
+from .fields import GF, QQ, DEFAULT_PRIME
 from .groebner import FreeModule, Ideal, Submodule, Vec, syzygies
 from .linalg import Matrix, random_matrix
 from .polyring import GradedPoly, PolyRing
@@ -17,7 +18,7 @@ from .schemes import (Polarization, SubschemeData, builtin_subscheme,
                       parse_subscheme_file)
 
 __all__ = [
-    "SyzkitError", "GF", "QQ", "DEFAULT_PRIME", "PrimeField", "RationalField",
+    "SyzkitError", "GF", "QQ", "DEFAULT_PRIME",
     "Matrix", "random_matrix", "GradedPoly", "PolyRing",
     "FreeModule", "Ideal", "Submodule", "Vec", "syzygies",
     "ChernVector", "ChowClass", "KClass", "bezout_h2",

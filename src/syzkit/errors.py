@@ -22,12 +22,6 @@ class SyzkitError(Exception):
         return out
 
 
-class VariantMismatchError(SyzkitError):
-    """Mixed exact-scalar variants (rational vs mod-p) in one operation."""
-
-    code = "variant-mismatch"
-
-
 class UnsupportedFieldError(SyzkitError):
     code = "unsupported-field"
 

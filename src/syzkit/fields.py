@@ -1,14 +1,17 @@
-"""Exact scalar arithmetic: rationals and prime fields.
+"""Exact scalars: the rationals, the one coefficient field, and prime
+fields, which only certify and sample.
 
-A field object owns the element representation: rationals are
-``fractions.Fraction`` (stdlib keeps lowest terms and a positive
-denominator), mod-p residues are plain ints in ``[0, p)``.  Containers
-(matrices, polynomials) carry their field and refuse to mix variants.
+A field object validates and coerces; arithmetic is the operators of its
+elements.  Rationals are ``fractions.Fraction`` (stdlib keeps lowest terms
+and a positive denominator); polynomials, ideals and kernels have them as
+coefficients.  Mod-p residues are plain ints in ``[0, p)``: the rank tests
+of linalg, the Groebner leads mod CERT_PRIME and the sampling field of the
+experiments.
 """
 
 from fractions import Fraction
 
-from .errors import UnsupportedFieldError, VariantMismatchError
+from .errors import UnsupportedFieldError
 
 DEFAULT_PRIME = 32003
 
@@ -53,32 +56,6 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero in QQ")
-        return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return Fraction(a) / b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def to_str(self, a):
-        return str(a)
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -115,32 +92,6 @@ class PrimeField:
             return self(a.numerator, a.denominator)
         raise UnsupportedFieldError(f"cannot coerce {a!r} into {self.name}")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError(f"inverse of zero in {self.name}")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return a * self.inv(b) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def to_str(self, a):
-        return str(a % self.p)
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -160,10 +111,3 @@ def GF(p=DEFAULT_PRIME):
     if p not in _gf_cache:
         _gf_cache[p] = PrimeField(p)
     return _gf_cache[p]
-
-
-def check_same_field(f1, f2, where="operation"):
-    if f1 != f2:
-        raise VariantMismatchError(
-            f"{where} mixes scalars over {f1!r} and {f2!r}", left=f1, right=f2
-        )

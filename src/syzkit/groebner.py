@@ -9,19 +9,19 @@ induced from the ring order.  Syzygies are computed by the tag-block
 elimination: append a unit tag component per generator and intersect the
 Groebner basis with the tag block.
 
-Inside this layer an element is a dict {(comp, exps): int} of integer
-terms: primitive integers over Q, residues in [0, p) over F_p, so one
-reduction loop serves both fields and no Fraction is formed.  The loop
-takes the next term off a heap, keyed once per term by the ring's
-descending key.  Over Q a reducer g with leading coefficient lc clears a
-term with coefficient c by pseudo-division: with q = gcd(c, lc) the
-remainder is scaled by lc/q and (c/q)*x^u*g is subtracted.  Over F_p the
-reducers are stored monic and c*x^u*g is subtracted mod p.  A normal form
-is therefore the remainder up to a nonzero scalar, which is all its callers
-read: they test it for zero or rescale it.  Fractions are built only where
-a Vec leaves the layer.
+Coefficients are rationals.  Inside this layer an element is a dict
+{(comp, exps): int} of integer terms: primitive integers over Q, or
+residues in [0, p) for the leads mod CERT_PRIME, so one reduction loop
+serves both and no Fraction is formed.  The loop takes the next term off
+a heap, keyed once per term by the ring's descending key.  Over Q a
+reducer g with leading coefficient lc clears a term with coefficient c by
+pseudo-division: with q = gcd(c, lc) the remainder is scaled by lc/q and
+(c/q)*x^u*g is subtracted.  Mod p the reducers are stored monic and
+c*x^u*g is subtracted mod p.  A normal form is therefore the remainder up
+to a nonzero scalar, which is all its callers read: they test it for zero
+or rescale it.  Fractions are built only where a Vec leaves the layer.
 
-An ideal over Q answers emptiness and dimension questions first from one
+An ideal answers emptiness and dimension questions first from one
 Groebner basis mod CERT_PRIME of its primitive integer generators, and
 computes the basis over Q only when that misses (Ideal.is_projectively_empty
 gives the proof).
@@ -34,9 +34,9 @@ from math import comb, factorial, gcd
 
 from .errors import (BudgetError, CertificateError, HomogeneityError,
                      NonMinimalError, RingMismatchError)
-from .fields import GF, QQ, PrimeField
+from .fields import GF, QQ
 from .linalg import CERT_PRIME, Span
-from .polyring import (GradedPoly, integer_terms, modulus, multiple_rows,
+from .polyring import (GradedPoly, integer_terms, multiple_rows,
                        multiplied_elements)
 
 
@@ -77,11 +77,10 @@ class Vec:
 
     def __init__(self, free, terms, degree=None):
         self.free = free
-        field = free.ring.field
         clean = {}
         deg = degree
         for (comp, exps), c in terms.items():
-            if field.is_zero(c):
+            if not c:
                 continue
             d = sum(exps) + free.shifts[comp]
             if deg is None:
@@ -110,31 +109,28 @@ class Vec:
         return t[0], t[1], self.terms[t]
 
     def scale(self, c):
-        f = self.free.ring.field
-        if f.is_zero(c):
+        if not c:
             return Vec(self.free, {}, self._degree)
-        return Vec(self.free, {t: f.mul(c, v) for t, v in self.terms.items()},
+        return Vec(self.free, {t: c * v for t, v in self.terms.items()},
                    self._degree)
 
     def __add__(self, other):
         if self.free != other.free:
             raise RingMismatchError("module elements from different free modules")
-        f = self.free.ring.field
         out = dict(self.terms)
         for t, c in other.terms.items():
-            out[t] = f.add(out.get(t, f.zero), c)
+            out[t] = out.get(t, QQ.zero) + c
         deg = self._degree if self._degree is not None else other._degree
         return Vec(self.free, out, deg)
 
     def __sub__(self, other):
-        return self + other.scale(self.free.ring.field.neg(self.free.ring.field.one))
+        return self + other.scale(-QQ.one)
 
     def mul_monomial(self, exps, coeff=None):
-        f = self.free.ring.field
         out = {}
         for (comp, e), v in self.terms.items():
             out[(comp, tuple(a + b for a, b in zip(e, exps)))] = \
-                v if coeff is None else f.mul(coeff, v)
+                v if coeff is None else coeff * v
         deg = None if self._degree is None else self._degree + sum(exps)
         return Vec(self.free, out, deg)
 
@@ -153,8 +149,7 @@ class Vec:
 
     def coords(self, basis_index, d):
         """Coefficient vector in the degree-d piece basis (index dict)."""
-        f = self.free.ring.field
-        out = [f.zero] * len(basis_index)
+        out = [QQ.zero] * len(basis_index)
         for t, c in self.terms.items():
             out[basis_index[t]] = c
         return out
@@ -181,14 +176,9 @@ def vecs_from_polys(ring, polys):
 # -- integer terms -----------------------------------------------------------
 
 
-def _to_vec(free, terms, p, lc=1, degree=None):
-    """Integer terms divided by lc, as a Vec over the ring's field."""
-    if p is None:
-        return Vec(free, {t: Fraction(c, lc) for t, c in terms.items()}, degree)
-    if lc != 1:
-        inv = pow(lc, -1, p)
-        terms = {t: c * inv % p for t, c in terms.items()}
-    return Vec(free, terms, degree)
+def _to_vec(free, terms, lc=1, degree=None):
+    """Integer terms divided by lc, as a Vec with Fraction coefficients."""
+    return Vec(free, {t: Fraction(c, lc) for t, c in terms.items()}, degree)
 
 
 def _lead(terms, desc):
@@ -197,9 +187,9 @@ def _lead(terms, desc):
 
 
 def _normalize(terms, p, desc):
-    """Scale integer terms in place: monic over F_p; primitive with a
-    positive leading coefficient over Q (tames growth inside Buchberger).
-    Returns the leading term."""
+    """Scale integer terms in place: monic mod p when p is given; over Q
+    (p None) primitive with a positive leading coefficient (tames growth
+    inside Buchberger).  Returns the leading term."""
     lead = _lead(terms, desc)
     c = terms[lead]
     if p is not None:
@@ -410,20 +400,19 @@ def normal_form(vec, basis):
     if vec.is_zero():
         return vec
     free = vec.free
-    p = modulus(free.ring.field)
     desc = free.ring.descending_key
-    rem = _reduce_full(integer_terms(vec.terms, p),
-                       _reducers_of(basis, p, desc), desc)
-    return _to_vec(free, rem, p, degree=vec.degree)
+    rem = _reduce_full(integer_terms(vec.terms), _reducers_of(basis, desc),
+                       desc)
+    return _to_vec(free, rem, degree=vec.degree)
 
 
-def _reducers_of(vecs, p, desc):
-    """The nonzero vecs as reducers."""
-    reducers = _Reducers(p)
+def _reducers_of(vecs, desc):
+    """The nonzero vecs as reducers over Q."""
+    reducers = _Reducers(None)
     for v in vecs:
         if not v.is_zero():
-            terms = integer_terms(v.terms, p)
-            reducers.add(terms, _normalize(terms, p, desc))
+            terms = integer_terms(v.terms)
+            reducers.add(terms, _normalize(terms, None, desc))
     return reducers
 
 
@@ -440,11 +429,10 @@ def buchberger(vecs, interreduce=False):
     for v in vecs:
         if v.free != free:
             raise RingMismatchError("module elements from different free modules")
-    p = modulus(free.ring.field)
-    elems = [integer_terms(v.terms, p) for v in vecs]
+    elems = [integer_terms(v.terms) for v in vecs]
     if interreduce:
-        elems = _interreduce(free, elems, p)
-    return [_to_vec(free, t, p) for t in _groebner(free, elems, p)]
+        elems = _interreduce(free, elems, None)
+    return [_to_vec(free, t) for t in _groebner(free, elems, None)]
 
 
 def reduced_basis(gb):
@@ -454,16 +442,15 @@ def reduced_basis(gb):
     if not gb:
         return []
     free = gb[0].free
-    p = modulus(free.ring.field)
     desc = free.ring.descending_key
-    elems = [integer_terms(g.terms, p) for g in gb]
-    leads = [_normalize(t, p, desc) for t in elems]
+    elems = [integer_terms(g.terms) for g in gb]
+    leads = [_normalize(t, None, desc) for t in elems]
     keep = []
     for i, (ci, ei) in enumerate(leads):
         if not any(cj == ci and _divides(ej, ei) and (ej != ei or j < i)
                    for j, (cj, ej) in enumerate(leads) if j != i):
             keep.append(i)
-    reducers = _Reducers(p)
+    reducers = _Reducers(None)
     for i in keep:
         reducers.add(elems[i], leads[i])
     out = []
@@ -474,7 +461,7 @@ def reduced_basis(gb):
             raise CertificateError("lead does not survive tail reduction",
                                    lead=exps)
         out.append(((comp, desc(exps)),
-                    _to_vec(free, r, p, r[comp, exps], gb[i].degree)))
+                    _to_vec(free, r, r[comp, exps], gb[i].degree)))
     out.sort(key=lambda kv: kv[0])
     return [v for _, v in out]
 
@@ -492,11 +479,10 @@ def syzygies(vecs):
     tag_shifts = tuple(v.degree for v in vecs)
     big = FreeModule(ring, free.shifts + tag_shifts)
     r = free.rank
-    f = ring.field
     big_vecs = []
     for i, v in enumerate(vecs):
         terms = {(comp, e): c for (comp, e), c in v.terms.items()}
-        terms[(r + i, (0,) * ring.num_vars)] = f.one
+        terms[(r + i, (0,) * ring.num_vars)] = QQ.one
         big_vecs.append(Vec(big, terms))
     gb = buchberger(big_vecs)
     tag_free = FreeModule(ring, tag_shifts)
@@ -604,11 +590,10 @@ class Submodule:
     def contains(self, vec):
         if vec.is_zero():
             return True
-        p = modulus(self.free.ring.field)
         desc = self.free.ring.descending_key
         if self._reducers is None:
-            self._reducers = _reducers_of(self.gb, p, desc)
-        return not _reduce_full(integer_terms(vec.terms, p), self._reducers, desc)
+            self._reducers = _reducers_of(self.gb, desc)
+        return not _reduce_full(integer_terms(vec.terms), self._reducers, desc)
 
     def equals(self, other):
         if self.free != other.free:
@@ -673,7 +658,7 @@ def minimal_generators(vecs):
         by_deg.setdefault(v.degree, []).append(v)
     kept = []
     for d in sorted(by_deg):
-        span = Span(ring.field)
+        span = Span(QQ)
         for row in multiple_rows(ring, kept, d):
             span.add(row)
         for v, row in zip(by_deg[d], multiple_rows(ring, by_deg[d], d)):
@@ -906,18 +891,17 @@ class Ideal:
         return self.resolution().regularity()
 
     def _mod_p_leads(self):
-        """Over Q: the leads of one (unreduced) Groebner basis mod
-        CERT_PRIME of the primitive integer generators, cached.  None over
-        F_p, where the basis itself is as cheap, and once the basis over Q
+        """The leads of one (unreduced) Groebner basis mod CERT_PRIME of the
+        primitive integer generators, cached.  None once the basis over Q
         is known."""
-        if isinstance(self.ring.field, PrimeField) or self._sub._gb is not None:
+        if self._sub._gb is not None:
             return None
         if self._leads_p is None:
             p = CERT_PRIME
             elems = []
             for v in self._vecs:
                 terms = {t: c % p for t, c in
-                         integer_terms(v.terms, None).items() if c % p}
+                         integer_terms(v.terms).items() if c % p}
                 if terms:
                     elems.append(terms)
             desc = self.ring.descending_key
@@ -929,7 +913,7 @@ class Ideal:
         """True iff the vanishing locus in P^n is empty: the Hilbert series
         of the initial ideal is a polynomial (dim R/I <= 0).
 
-        Over Q the leads mod CERT_PRIME are read first.  The degree-N piece
+        The leads mod CERT_PRIME are read first.  The degree-N piece
         of I, and of the ideal I_p of the primitive integer generators mod
         p, is the row space of one integer matrix of degree-N multiples,
         whose rank mod p is at most its rank over Q; so HF_{R/I}(N) <=
@@ -948,8 +932,8 @@ class Ideal:
         return _series_dim(self.gb_leads(), self.ring.num_vars)
 
     def krull_dim_at_most(self, bound):
-        """Is the affine Krull dimension of R/I at most bound?  Over Q
-        leads mod CERT_PRIME of dimension <= bound prove it: HF_{R/I}
+        """Is the affine Krull dimension of R/I at most bound?  Leads mod
+        CERT_PRIME of dimension <= bound prove it: HF_{R/I}
         <= HF_{R/I_p} (see is_projectively_empty), so dim R/I <= dim R/I_p.
         Only a miss computes the basis over Q."""
         leads = self._mod_p_leads()

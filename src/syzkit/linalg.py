@@ -1,8 +1,8 @@
-"""Dense exact matrices with rank, kernel and seeded random sampling, the
-incremental row echelon, the rank tests over Q and F_p and primitive
-integer scaling.  There is no linear solve: Hilbert polynomials, K-classes
-and Chern characters convert by closed forms (groebner.series_polynomial,
-chow.KClass).
+"""Dense exact matrices with rank, kernel over Q and seeded random sampling
+over F_p, the incremental row echelon, the rank tests over Q and F_p and
+primitive integer scaling.  There is no linear solve: Hilbert polynomials,
+K-classes and Chern characters convert by closed forms
+(groebner.series_polynomial, chow.KClass).
 
 Every rank and kernel is decided by one elimination, the incremental row
 echelon Span: a rank counts the rows a Span accepts, and a kernel
@@ -10,10 +10,10 @@ back-substitutes on its rows, latest stored first, one vector per free
 column, each verified exactly against every integer row.  Over Q a Span keeps
 primitive integer rows, so no rational blow-up occurs mid-elimination, and
 back-substitution rescales its integer vector only by what the next pivot
-division needs.  Over F_p a Span keeps each row packed in one Python int
-(a reduction step is one big-int multiply-add, and one slot-wise Barrett
-reduction per pass restores exact residues; see Span), and a kernel
-back-substitutes mod p on the rows unpacked to pivot 1.
+division needs.  Over F_p, the field that certifies ranks, a Span keeps
+each row packed in one Python int (a reduction step is one big-int
+multiply-add, and one slot-wise Barrett reduction per pass restores exact
+residues; see Span); there is no kernel mod p.
 
 rank_reaches is the one test "is the rank at least target?"; over Q a
 rank mod CERT_PRIME that reaches target proves it, and the Span over Q
@@ -62,66 +62,34 @@ class Matrix:
         return sum(map(Span(self.field).add, self.rows))
 
     def rank_and_kernel(self):
-        """Return (rank, kernel basis), one basis vector per free column.
-        Over Q each vector is a primitive integer vector with a positive
-        leading entry, given as Fractions.  The rows, as residues mod p or
-        over Q scaled to primitive integers, go through one Span, and the
-        kernel back-substitutes on its rows.
+        """Return (rank, kernel basis) over Q, one basis vector per free
+        column: a primitive integer vector with a positive leading entry,
+        given as Fractions.  The rows, scaled to primitive integers, go
+        through one Span, and the kernel back-substitutes on its rows.
         Certified by rank-nullity and by an exact integer product of every
         kernel vector with every integer row; a failure raises
-        CertificateError."""
-        p = self.field.p if isinstance(self.field, PrimeField) else None
-        if p is None:
-            ints = [primitive_integers(r) for r in self.rows]
-        else:
-            ints = [[int(c) % p for c in r] for r in self.rows]
+        CertificateError.  A kernel over F_p raises UnsupportedFieldError:
+        F_p only certifies ranks."""
+        if isinstance(self.field, PrimeField):
+            raise UnsupportedFieldError("kernels are computed over QQ only")
+        ints = [primitive_integers(r) for r in self.rows]
         span = Span(self.field)
         for r in ints:
-            if p is None:
-                # r is primitive already; the copy keeps it for the
-                # certificate, as _add_rational reduces its row in place
-                span._add_rational(list(r))
-            else:
-                span.add(r)
+            # r is primitive already; the copy keeps it for the certificate,
+            # as _add_rational reduces its row in place
+            span._add_rational(list(r))
         # a Span row is zero at the pivots of the rows stored before it, so
         # the rows in reverse order of storage back-substitute like an echelon
-        if p is None:
-            kernel = _integer_kernel(span.pivots, span.rows, self.ncols)
-        else:
-            kernel = _kernel_mod_p(span.pivots, span.rows, self.ncols, p)
+        kernel = _integer_kernel(span.pivots, span.rows, self.ncols)
         rank = len(span.pivots)
         if rank + len(kernel) != self.ncols:
             raise CertificateError("kernel fails rank-nullity", rank=rank,
                                    nullity=len(kernel), ncols=self.ncols)
-        _verify_kernel(ints, kernel, p)
-        if p is None:
-            kernel = [[Fraction(c) for c in w] for w in kernel]
-        return rank, kernel
+        _verify_kernel(ints, kernel)
+        return rank, [[Fraction(c) for c in w] for w in kernel]
 
     def kernel(self):
         return self.rank_and_kernel()[1]
-
-
-def _kernel_mod_p(pivots, rows, ncols, p):
-    """Kernel basis mod p from the rows of a Span over F_p (pivot entry 1,
-    each zero at the pivots of the rows before it), back-substituted last
-    row first: per free column, the vector that is 1 there and 0 at every
-    other free column."""
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        v = [0] * ncols
-        v[fc] = 1
-        support = [fc]
-        for piv, row in zip(reversed(pivots), reversed(rows)):
-            s = sum(row[j] * v[j] for j in support) % p
-            if s:
-                v[piv] = p - s
-                support.append(piv)
-        basis.append(v)
-    return basis
 
 
 def _integer_kernel(pivots, rows, ncols):
@@ -156,14 +124,13 @@ def _integer_kernel(pivots, rows, ncols):
     return basis
 
 
-def _verify_kernel(rows, kernel, p):
-    """Certificate: every kernel vector times every integer row is zero
-    (mod p unless p is None), summed over the vector's nonzero entries."""
+def _verify_kernel(rows, kernel):
+    """Certificate: every kernel vector times every integer row is zero,
+    summed over the vector's nonzero entries."""
     for w in kernel:
         nonzero = [(j, c) for j, c in enumerate(w) if c]
         for row in rows:
-            s = sum(row[j] * c for j, c in nonzero)
-            if s and (p is None or s % p):
+            if sum(row[j] * c for j, c in nonzero):
                 raise CertificateError("kernel vector is not in the kernel")
 
 

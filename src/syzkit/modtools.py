@@ -15,7 +15,7 @@ from math import comb
 
 from .chow import KClass
 from .errors import CertificateError, InputError
-from .fields import GF
+from .fields import GF, QQ
 from .groebner import (FreeModule, Ideal, PolyMatrix, Submodule, Vec,
                        minimal_generators, syzygies)
 from .linalg import Matrix
@@ -100,7 +100,7 @@ def kernel_of_matrix(pm):
     free = FreeModule(pm.ring, pm.col_shifts)
     nonzero = [(j, c) for j, c in enumerate(cols) if not c.is_zero()]
     if not nonzero:
-        return [Vec(free, {(j, (0,) * pm.ring.num_vars): pm.ring.field.one})
+        return [Vec(free, {(j, (0,) * pm.ring.num_vars): QQ.one})
                 for j in range(len(cols))]
     syz = syzygies([c for _, c in nonzero])
     out = []
@@ -111,7 +111,7 @@ def kernel_of_matrix(pm):
         out.append(Vec(free, terms))
     for j, c in enumerate(cols):
         if c.is_zero():
-            out.append(Vec(free, {(j, (0,) * pm.ring.num_vars): pm.ring.field.one}))
+            out.append(Vec(free, {(j, (0,) * pm.ring.num_vars): QQ.one}))
     return minimal_generators(out)
 
 
@@ -121,9 +121,8 @@ def dual_generators(presentation):
     if not presentation.relations:
         dual_free = FreeModule(presentation.ring,
                                tuple(-s for s in presentation.gen_shifts))
-        one = presentation.ring.field.one
         nv = presentation.ring.num_vars
-        return [Vec(dual_free, {(i, (0,) * nv): one})
+        return [Vec(dual_free, {(i, (0,) * nv): QQ.one})
                 for i in range(dual_free.rank)]
     return kernel_of_matrix(presentation.relation_matrix().transpose())
 
@@ -209,14 +208,6 @@ def _minor_entries(pm, rows, cols):
     return [[pm.entries[i][j] for j in cols] for i in rows]
 
 
-def _eval_matrix(pm, point, field):
-    rows = []
-    for i in range(pm.nrows):
-        rows.append([field(p.evaluate(point)) if not p.is_zero() else field.zero
-                     for p in pm.entries[i]])
-    return rows
-
-
 def certify_locally_free(presentation):
     """Exact local-freeness verdict for the sheaf of M = coker(A).
 
@@ -236,9 +227,8 @@ def certify_locally_free(presentation):
     rng = random.Random(0)
     fp = GF()
     pt = tuple(rng.randrange(1, fp.p) for _ in range(ring.num_vars))
-    scalar = Matrix(fp, _eval_matrix(a, pt, fp)) if ring.field.characteristic == 0 \
-        else Matrix(ring.field, _eval_matrix(a, pt, ring.field))
-    rho = scalar.rank()
+    rho = Matrix(fp, [[fp(p.evaluate(pt)) for p in row]
+                      for row in a.entries]).rank()
     max_rho = min(nr, nc)
     while rho <= max_rho:
         if comb(nr, rho) * comb(nc, rho) > MINOR_BUDGET:
@@ -329,7 +319,6 @@ def section_dim_double_dual(free, gens, t):
 def _matrix_kernel_piece_dim(pm, t):
     """dim of ker(pm)_t by exact rank-nullity on graded pieces."""
     ring = pm.ring
-    field = ring.field
     dom = FreeModule(ring, pm.col_shifts)
     cod = FreeModule(ring, pm.row_shifts)
     dom_basis = dom.piece_basis(t)
@@ -339,18 +328,18 @@ def _matrix_kernel_piece_dim(pm, t):
     cod_index = {b: i for i, b in enumerate(cod_basis)}
     rows = []
     for (j, e) in dom_basis:
-        out = [field.zero] * len(cod_basis)
+        out = [QQ.zero] * len(cod_basis)
         for i in range(pm.nrows):
             p = pm.entries[i][j]
             if p.is_zero():
                 continue
             for pe, pc in p.coeffs.items():
                 key = (i, tuple(a + b for a, b in zip(pe, e)))
-                out[cod_index[key]] = field.add(out[cod_index[key]], pc)
+                out[cod_index[key]] += pc
         rows.append(out)
     if not cod_basis:
         return len(dom_basis)
-    mat = Matrix(field, rows)
+    mat = Matrix(QQ, rows)
     return len(dom_basis) - mat.rank()
 
 

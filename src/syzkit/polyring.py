@@ -1,4 +1,4 @@
-"""Homogeneous multivariate polynomials over an exact field.
+"""Homogeneous multivariate polynomials over Q, with Fraction coefficients.
 
 Variables are x0..xn (n+1 of them for P^n).  Monomials are exponent
 tuples; supported orders are grevlex (default) and lex.  Every polynomial
@@ -6,25 +6,25 @@ is homogeneous: graded pieces are the whole data model, so inhomogeneous
 input is rejected at construction.
 
 Integer work starts from one scaling per form, computed once:
-GradedPoly.int_terms, the residues over F_p and primitive integers over Q
-(a nonzero rescaling, which changes no rank and no zero set).  A ring
-caches, next to its degree-d monomial lists, a product-column table: for
-an exponent e and a multiplier degree k, the columns of the products e*m,
-m over the degree-k monomials (k = 0 is the column of e).  multiple_rows
-reads it to build integer rows of multiples, with no product polynomial
-formed.
+GradedPoly.int_terms, its primitive integers (a nonzero rescaling, which
+changes no rank and no zero set).  A ring caches, next to its degree-d
+monomial lists, a product-column table: for an exponent e and a multiplier
+degree k, the columns of the products e*m, m over the degree-k monomials
+(k = 0 is the column of e).  multiple_rows reads it to build integer rows
+of multiples, with no product polynomial formed.
 
 A form is evaluated at a point only as the sum c*value over its integer
 terms, against monomial_values: one table of the degree-t monomials at
 integer_powers of the point per degree.
 """
 
+from fractions import Fraction
 from math import comb
 from operator import mul
 
 from .errors import (CertificateError, HomogeneityError, ParseError,
                      RingMismatchError)
-from .fields import PrimeField
+from .fields import QQ
 from .linalg import Matrix, primitive_integers
 
 
@@ -47,12 +47,13 @@ DESCENDING_KEYS = {"grevlex": lambda e: (-sum(e), e[::-1]),
 
 
 class PolyRing:
-    """k[x0..xn] with a monomial order."""
+    """Q[x0..xn] with a monomial order."""
 
-    def __init__(self, field, num_vars, order="grevlex"):
+    field = QQ
+
+    def __init__(self, num_vars, order="grevlex"):
         if order not in ORDER_KEYS:
             raise ParseError(f"unknown monomial order {order!r}")
-        self.field = field
         self.num_vars = num_vars
         self.order = order
         self.key = ORDER_KEYS[order]
@@ -61,11 +62,11 @@ class PolyRing:
         self._col_cache = {}
 
     def __eq__(self, other):
-        return (isinstance(other, PolyRing) and self.field == other.field
-                and self.num_vars == other.num_vars and self.order == other.order)
+        return (isinstance(other, PolyRing) and self.num_vars == other.num_vars
+                and self.order == other.order)
 
     def __hash__(self):
-        return hash((self.field, self.num_vars, self.order))
+        return hash((self.num_vars, self.order))
 
     def __repr__(self):
         return f"{self.field!r}[x0..x{self.num_vars - 1}]/{self.order}"
@@ -82,7 +83,7 @@ class PolyRing:
         return self.monomial((0,) * self.num_vars)
 
     def monomial(self, exps, coeff=None):
-        c = self.field.one if coeff is None else coeff
+        c = QQ.one if coeff is None else coeff
         return GradedPoly(self, {tuple(exps): c})
 
     def from_terms(self, terms, degree=None):
@@ -123,10 +124,10 @@ class PolyRing:
         """Coefficient vector of a homogeneous poly in the degree basis."""
         d = poly.degree if degree is None else degree
         if poly.is_zero():
-            return [self.field.zero] * self.piece_dim(d)
+            return [QQ.zero] * self.piece_dim(d)
         if poly.degree != d:
             raise HomogeneityError(f"degree {poly.degree} piece requested at {d}")
-        return [poly.coeffs.get(m, self.field.zero) for m in self.monomials_of_degree(d)]
+        return [poly.coeffs.get(m, QQ.zero) for m in self.monomials_of_degree(d)]
 
     def parse(self, text):
         return _parse_poly(self, text)
@@ -148,11 +149,10 @@ class GradedPoly:
 
     def __init__(self, ring, coeffs, degree=None):
         self.ring = ring
-        field = ring.field
         clean = {}
         deg = degree
         for exps, c in coeffs.items():
-            if field.is_zero(c):
+            if not c:
                 continue
             e = tuple(exps)
             if len(e) != ring.num_vars:
@@ -177,7 +177,7 @@ class GradedPoly:
         """integer_terms of the coefficients, computed once and shared:
         callers must not mutate the dict."""
         if self._ints is None:
-            self._ints = integer_terms(self.coeffs, modulus(self.ring.field))
+            self._ints = integer_terms(self.coeffs)
         return self._ints
 
     def is_zero(self):
@@ -191,48 +191,39 @@ class GradedPoly:
         self._check(other)
         if not self.is_zero() and not other.is_zero() and self.degree != other.degree:
             raise HomogeneityError("sum of different degrees is not graded")
-        f = self.ring.field
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
-            out[e] = f.add(out.get(e, f.zero), c)
+            out[e] = out.get(e, QQ.zero) + c
         return GradedPoly(self.ring, out, self._degree if self._degree is not None else other._degree)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        f = self.ring.field
-        return GradedPoly(self.ring, {e: f.neg(c) for e, c in self.coeffs.items()},
+        return GradedPoly(self.ring, {e: -c for e, c in self.coeffs.items()},
                           self._degree)
 
     def scale(self, c):
-        f = self.ring.field
-        if f.is_zero(c):
+        if not c:
             return GradedPoly(self.ring, {}, self._degree)
-        return GradedPoly(self.ring, {e: f.mul(c, v) for e, v in self.coeffs.items()},
+        return GradedPoly(self.ring, {e: c * v for e, v in self.coeffs.items()},
                           self._degree)
 
     def __mul__(self, other):
         self._check(other)
-        f = self.ring.field
         out = {}
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                prod = f.mul(c1, c2)
-                if e in out:
-                    out[e] = f.add(out[e], prod)
-                else:
-                    out[e] = prod
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
         deg = None
         if self._degree is not None and other._degree is not None:
             deg = self._degree + other._degree
         return GradedPoly(self.ring, out, deg)
 
     def mul_monomial(self, exps, coeff=None):
-        f = self.ring.field
         out = {tuple(a + b for a, b in zip(e, exps)):
-               v if coeff is None else f.mul(coeff, v)
+               v if coeff is None else coeff * v
                for e, v in self.coeffs.items()}
         deg = None if self._degree is None else self._degree + sum(exps)
         return GradedPoly(self.ring, out, deg)
@@ -245,15 +236,12 @@ class GradedPoly:
         return e, self.coeffs[e]
 
     def evaluate(self, point):
-        """Evaluate at a tuple of field elements."""
-        f = self.ring.field
-        acc = f.zero
+        """The exact value at a point of rationals or integers."""
+        acc = QQ.zero
         for e, c in self.coeffs.items():
-            term = c
             for xi, ei in zip(point, e):
-                for _ in range(ei):
-                    term = f.mul(term, xi)
-            acc = f.add(acc, term)
+                c *= xi ** ei
+            acc += c
         return acc
 
     def sorted_terms(self):
@@ -273,13 +261,12 @@ class GradedPoly:
     def to_str(self):
         if self.is_zero():
             return "0"
-        f = self.ring.field
         parts = []
         for e, c in self.sorted_terms():
             mono = "*".join(
                 f"x{i}" + (f"^{k}" if k > 1 else "")
                 for i, k in enumerate(e) if k > 0)
-            cs = f.to_str(c)
+            cs = str(c)
             if mono:
                 if cs == "1":
                     term = mono
@@ -315,17 +302,10 @@ def piece_multiples(ring, elems, d):
             for g, mons in multiplied_elements(ring, elems, d) for m in mons]
 
 
-def modulus(field):
-    """p over F_p, None over Q: what integer terms are taken modulo."""
-    return field.p if isinstance(field, PrimeField) else None
-
-
-def integer_terms(terms, p):
-    """A new dict of the terms with int coefficients: residues over F_p (p
-    given), and over Q primitive integers, a nonzero rescaling of the form
-    that changes no rank, no zero set and no rows a Span picks."""
-    if p is not None:
-        return dict(terms)
+def integer_terms(terms):
+    """A new dict of the terms with primitive integer coefficients, a
+    nonzero rescaling of the form that changes no rank, no zero set and no
+    rows a Span picks."""
     return dict(zip(terms, primitive_integers(list(terms.values()))))
 
 
@@ -346,7 +326,7 @@ def multiple_rows(ring, elems, d):
             offsets = [0]
             for s in free.shifts:
                 offsets.append(offsets[-1] + ring.piece_dim(d - s))
-            terms = integer_terms(g.terms, modulus(ring.field)).items()
+            terms = integer_terms(g.terms).items()
         k = d - g.degree
         block = [[0] * offsets[-1] for _ in mons]
         for (comp, e), c in terms:
@@ -366,7 +346,7 @@ def span_dim(ring, polys, d):
     rows = [ring.to_vector(p, d) for p in polys if not p.is_zero()]
     if not rows:
         return 0
-    return Matrix(ring.field, rows).rank()
+    return Matrix(QQ, rows).rank()
 
 
 def integer_powers(point, top):
@@ -396,19 +376,17 @@ def terms_value(terms, values):
 
 def values_at(polys, point):
     """Lazily, the value at the point of each form's int_terms at
-    integer_powers of the point (mod p over F_p), from one monomial_values
-    table per degree.  Both scalings are nonzero, so a value is zero
-    exactly when the form vanishes at the point."""
+    integer_powers of the point, from one monomial_values table per degree.
+    Both scalings are nonzero, so a value is zero exactly when the form
+    vanishes at the point."""
     ring = polys[0].ring
-    p = modulus(ring.field)
     powers = integer_powers(point, max(f.degree or 0 for f in polys))
     tables = {}
     for f in polys:
         t = f.degree or 0
         if t not in tables:
-            tables[t] = monomial_values(ring, powers, t, p)
-        v = terms_value(f.int_terms, tables[t])
-        yield v if p is None else v % p
+            tables[t] = monomial_values(ring, powers, t)
+        yield terms_value(f.int_terms, tables[t])
 
 
 def vanish_at(polys, points):
@@ -460,7 +438,6 @@ def _parse_poly(ring, text):
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty polynomial")
-    field = ring.field
     result = None
     pos = 0
     sign = 1
@@ -470,7 +447,7 @@ def _parse_poly(ring, text):
             pos += 1
             if pos >= len(tokens) or tokens[pos] in "+-":
                 raise ParseError("dangling sign")
-        coeff = field.one if sign == 1 else field.neg(field.one)
+        coeff = Fraction(sign)
         exps = [0] * ring.num_vars
         expect_factor = True
         while pos < len(tokens) and tokens[pos] not in "+-":
@@ -489,14 +466,13 @@ def _parse_poly(ring, text):
                     if pos >= len(tokens) or not tokens[pos].isdigit():
                         raise ParseError("malformed rational coefficient")
                     den = int(tokens[pos])
-                    try:
-                        coeff = field.mul(coeff, field(num, den))
-                    except ZeroDivisionError:
+                    if not den:
                         raise ParseError(f"coefficient {num}/{den} has a zero "
-                                         f"denominator in {field!r}") from None
+                                         f"denominator in QQ")
+                    coeff *= Fraction(num, den)
                     pos += 1
                 else:
-                    coeff = field.mul(coeff, field(num))
+                    coeff *= num
             elif tok.startswith("x"):
                 idx = int(tok[1:])
                 if idx >= ring.num_vars:

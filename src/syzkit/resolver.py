@@ -5,7 +5,7 @@ genericity/uniformity experiments.
 
 All certificates are exact: generation is a graded-piece comparison that
 propagates upward from one certified degree, restriction injectivity is a
-rank computation over the base field, and every Chern/character identity
+rank computation over Q, and every Chern/character identity
 is checked in exact rational arithmetic.
 """
 
@@ -19,7 +19,7 @@ from .curves import (CurveBundleInvariants, butler_kernel_invariants,
                      restriction_bookkeeping)
 from .errors import (CertificateError, GenericityError, HypothesisError,
                      InputError, SpecialityError, ThresholdError)
-from .fields import DEFAULT_PRIME, GF, QQ, PrimeField
+from .fields import DEFAULT_PRIME, GF, QQ
 from .groebner import FreeModule, Ideal, PolyMatrix, Vec, ideal_piece_basis
 from .linalg import CERT_PRIME, Matrix, Span, rank_at_least, rank_reaches
 from .modtools import GradedModulePresentation, certify_locally_free, hoppe_check
@@ -111,8 +111,8 @@ def check_generation(v_polys, ideal, points=None, reg=None):
     exactly: membership of V is then checked by vanish_at, and a fiberwise
     Jacobian-spanning screen at each point supplies definitive failure
     witnesses.  Each form enters by its int_terms; at each point one table
-    of the degree md-1 monomial values mod CERT_PRIME (mod p over F_p)
-    gives the Jacobian rows, one form at a time, into a Span that stops
+    of the degree md-1 monomial values mod CERT_PRIME gives the Jacobian
+    rows, one form at a time, into a Span that stops
     once it holds n rows.  Rank mod p <= rank over Q, so that proves the
     point is no witness; only a point where it falls short is decided
     exactly, by _gradient_rows and rank_reaches.
@@ -133,15 +133,15 @@ def check_generation(v_polys, ideal, points=None, reg=None):
     witness = None
     if points:
         n = ring.num_vars - 1
-        q = ring.field.p if isinstance(ring.field, PrimeField) else CERT_PRIME
         partials = _partials(ring, v_polys)
         for pt in points:
-            values = monomial_values(ring, integer_powers(pt, md - 1), md - 1, q)
-            span = Span(GF(q))
+            values = monomial_values(ring, integer_powers(pt, md - 1), md - 1,
+                                     CERT_PRIME)
+            span = Span(GF(CERT_PRIME))
             reached = any(span.add(row) and len(span.pivots) >= n
                           for row in _jacobian_rows(partials, values))
             if not (reached or rank_reaches(
-                    ring.field, _gradient_rows(ring, v_polys, pt), n)):
+                    QQ, _gradient_rows(ring, v_polys, pt), n)):
                 witness = [str(c) for c in pt]
                 break
     table = []
@@ -150,7 +150,7 @@ def check_generation(v_polys, ideal, points=None, reg=None):
     for k in range(md, t_max + 1):
         rows = multiple_rows(ring, v_polys, k)
         want = ideal.piece_dim(k)
-        got = rank_at_least(ring.field, rows, min(len(rows), want))
+        got = rank_at_least(QQ, rows, min(len(rows), want))
         table.append((k, got, want))
         if got == want and k >= reg:
             certified_at = k
@@ -248,7 +248,7 @@ def _ideal_sheaf_chern(z, d):
     return c_from_ch(ch)
 
 
-def _draw_sections(rng, basis, dim_v, field, p):
+def _draw_sections(rng, basis, dim_v, p):
     """dim_v seeded combinations of the basis with integer lifts from [0,p).
     The sums run in integers, over one common denominator of the basis."""
     h0 = len(basis)
@@ -266,7 +266,7 @@ def _draw_sections(rng, basis, dim_v, field, p):
             if a:
                 for e, c in num.items():
                     acc[e] = acc.get(e, 0) + a * c
-        out.append(ring.from_terms({e: field(c, den) for e, c in acc.items()},
+        out.append(ring.from_terms({e: Fraction(c, den) for e, c in acc.items()},
                                    degree=md))
     return out
 
@@ -274,14 +274,13 @@ def _draw_sections(rng, basis, dim_v, field, p):
 def _draw_curve_forms(rng, z, d, count):
     """count degree-d forms cutting a complete intersection avoiding Z."""
     ring = z.ring
-    field = ring.field
     mons = ring.monomials_of_degree(d)
     for _ in range(CURVE_TRIES):
         forms = []
         for _ in range(count):
             f = ring.zero(d)
             while f.is_zero():
-                f = sum((ring.monomial(m, field(rng.randrange(-9, 10)))
+                f = sum((ring.monomial(m, Fraction(rng.randrange(-9, 10)))
                          for m in mons), ring.zero(d))
             forms.append(f)
         # no form vanishes at a point of Z: then the forms meet Z nowhere
@@ -351,7 +350,6 @@ def stage_kernel_generators(ring, v_basis, scan_cap):
     Returns (ambient, gens, piece_dims) with piece_dims[t] = dim (K)_t
     for t = 0..scan_cap.
     """
-    field = ring.field
     fp = GF(DEFAULT_PRIME)
     dim_v = len(v_basis)
     md = v_basis[0].degree
@@ -365,7 +363,7 @@ def stage_kernel_generators(ring, v_basis, scan_cap):
         # column, and primitive scaling over Q would change the generators
         cols = [ring.to_vector(v_basis[i].mul_monomial(mo), md + t)
                 for i, mo in labels]
-        kern = Matrix(field, zip(*cols)).kernel()
+        kern = Matrix(QQ, zip(*cols)).kernel()
         piece_dims.append(len(kern))
         basis = ambient.piece_basis(t)
         index = {b: i for i, b in enumerate(basis)}
@@ -413,7 +411,6 @@ def _build_kernel_stage(z, pol, m=None, policy="auto", seed=0, mode="numeric",
         p = DEFAULT_PRIME
     GF(p)  # a modulus that is not prime fails here, also when nothing is sampled
     ring = z.ring
-    field = ring.field
     d = pol.d
     n = pol.n
     warning = pol.genus_warning
@@ -458,7 +455,7 @@ def _build_kernel_stage(z, pol, m=None, policy="auto", seed=0, mode="numeric",
             cand = list(basis)
         else:
             rng = random.Random(f"sections:{seed}:{attempts}")
-            cand = _draw_sections(rng, basis, dim_v, field, p)
+            cand = _draw_sections(rng, basis, dim_v, p)
             if cand is None:
                 last_failure = "coefficient matrix drop"
                 continue
@@ -682,6 +679,10 @@ def build_chain(z, pol, mode="numeric", seed=0, p=None, m_list=None,
     n = pol.n
     if z.n != n:
         raise InputError("ambient mismatch", z_n=z.n, pol_n=n)
+    if m_list and len(m_list) > n - 1:
+        raise InputError(f"--m given {len(m_list)} times; a chain on P^{n} "
+                         f"has {n - 1} stage{'s' if n > 2 else ''}",
+                         given=len(m_list), stages=n - 1)
     if mode == "module" and n == 3 and z.proj_dim == 0:
         # R/(I_Z + f_1) has finite length once f_1 avoids Z, so f_2 is a
         # zero divisor on it for every draw
@@ -862,7 +863,7 @@ def genericity_experiment(r, n, v, trials=100, seed=0, p=None, t_cap=None):
     if p is None:
         p = DEFAULT_PRIME
     fp = GF(p)
-    ring = PolyRing(fp, n + 1)
+    ring = PolyRing(n + 1)
     if t_cap is None:
         t_cap = n + 2
     tested = [t for t in range(t_cap + 1)
@@ -870,7 +871,7 @@ def genericity_experiment(r, n, v, trials=100, seed=0, p=None, t_cap=None):
     levels = tested[-1] + 1 if tested else 0
     dims = [ring.piece_dim(d) - ring.piece_dim(d - 1)  # dim R'_d
             for d in range(levels + 1)]
-    rest = PolyRing(fp, n)
+    rest = PolyRing(n)
     units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
     cols = [[rest.product_columns(e, d) for e in units] for d in range(levels)]
     variables = [e.index(1) for e in ring.monomials_of_degree(1)]
@@ -926,7 +927,7 @@ def uniformity_experiment(d, m, num_points=10, seed=0, p=None):
     same (d, m); the numeric invariants must coincide point-for-point.
     A uniform threshold failure re-raises; a mixed outcome would be a bug
     and raises CertificateError, as do differing invariants."""
-    ring = PolyRing(QQ, 3)
+    ring = PolyRing(3)
     pol = Polarization(2, d)
     rng = random.Random(f"uniformity:{seed}")
     pts = []

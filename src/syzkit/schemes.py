@@ -64,18 +64,17 @@ def points_ideal(ring, points):
     in in(I_Z) and generate it once their numerator is that one.  Gotzmann
     persistence bounds the leads' degrees by max(#points, t0) = #points;
     past that a CertificateError is raised."""
-    f = ring.field
     pts = []
     seen = set()
     for p in points:
-        cp = tuple(f(c) for c in p)
-        lead = next((c for c in cp if not f.is_zero(c)), None)
+        cp = tuple(QQ(c) for c in p)
+        lead = next((c for c in cp if c), None)
         if lead is None:
             raise InputError("projective point cannot be all zeros")
-        normal = tuple(f.div(c, lead) for c in cp)
+        normal = tuple(c / lead for c in cp)
         if normal in seen:
             raise InputError("projective point listed twice",
-                             point=[f.to_str(c) for c in cp])
+                             point=[str(c) for c in cp])
         seen.add(normal)
         pts.append(cp)
     if not pts:
@@ -87,14 +86,14 @@ def points_ideal(ring, points):
         mons = ring.monomials_of_degree(t)[::-1]
         values = [[vals[e] for e in mons]
                   for vals in (monomial_values(ring, pw, t) for pw in powers)]
-        rank, kernel = Matrix(f, values).rank_and_kernel()
+        rank, kernel = Matrix(QQ, values).rank_and_kernel()
         hf.append(rank)
         for w in kernel:
             j = max(i for i, c in enumerate(w) if c)
             if not any(all(a <= b for a, b in zip(le, mons[j])) for le in leads):
                 leads.append(mons[j])
                 basis.append(ring.from_terms(
-                    ((e, f.div(c, w[j])) for e, c in zip(mons, w) if c),
+                    ((e, c / w[j]) for e, c in zip(mons, w) if c),
                     degree=t))
         delta = {k: b - a for k, (a, b) in enumerate(zip([0] + hf, hf))}
         if rank == len(pts) and hilbert_numerator(leads) == series_product(
@@ -132,7 +131,7 @@ class SubschemeData:
         self.ring = ring
         self.n = ring.num_vars - 1
         self.ideal = gens if isinstance(gens, Ideal) else Ideal(ring, gens)
-        self.points = [tuple(ring.field(c) for c in p) for p in points] if points else None
+        self.points = [tuple(QQ(c) for c in p) for p in points] if points else None
         self.name = name
         if not (saturated or self.ideal.is_zero() or self.ideal.is_saturated()):
             raise NotSaturatedError(
@@ -277,14 +276,13 @@ def restriction_kernel(v_basis, w_rows):
     are rank_at_least checks, so a Span over Q runs only when a mod-p rank
     misses its bound; V + W that fills S_md is certified mod p."""
     ring = v_basis[0].ring
-    field = ring.field
     md = v_basis[0].degree
     v_rows = multiple_rows(ring, v_basis, md)
-    rank_v = rank_at_least(field, v_rows, len(v_rows))
+    rank_v = rank_at_least(QQ, v_rows, len(v_rows))
     if rank_v != len(v_basis):
         raise CertificateError("section basis is linearly dependent",
                                rank=rank_v, size=len(v_basis))
-    rank_union = rank_at_least(field, v_rows + w_rows,
+    rank_union = rank_at_least(QQ, v_rows + w_rows,
                                min(rank_v + len(w_rows), ring.piece_dim(md)))
     kernel = rank_v + len(w_rows) - rank_union
     return kernel == 0, rank_v - kernel
@@ -293,28 +291,28 @@ def restriction_kernel(v_basis, w_rows):
 # -- builtin instances -------------------------------------------------------
 
 
-def builtin_subscheme(name, field=QQ):
+def builtin_subscheme(name):
     """Canonical test subschemes; returns (SubschemeData, default d)."""
     if name == "three-points":
         pts = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-        return SubschemeData.from_points(PolyRing(field, 3), pts, name=name), 3
+        return SubschemeData.from_points(PolyRing(3), pts, name=name), 3
     if name == "collinear-points":
         pts = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
-        return SubschemeData.from_points(PolyRing(field, 3), pts, name=name), 3
+        return SubschemeData.from_points(PolyRing(3), pts, name=name), 3
     if name == "one-point":
-        ring = PolyRing(field, 3)
+        ring = PolyRing(3)
         pts = [(0, 0, 1)]
         gens = [ring.parse("x0"), ring.parse("x1")]
         return SubschemeData(ring, gens, points=pts, name=name), 1
     if name == "empty":
-        ring = PolyRing(field, 3)
+        ring = PolyRing(3)
         return SubschemeData(ring, [ring.one()], name=name), 1
     if name == "line-p3":
-        ring = PolyRing(field, 4)
+        ring = PolyRing(4)
         gens = [ring.parse("x0"), ring.parse("x1")]
         return SubschemeData(ring, gens, name=name), 2
     if name == "twisted-cubic":
-        ring = PolyRing(field, 4)
+        ring = PolyRing(4)
         gens = [ring.parse("x0*x2 - x1^2"), ring.parse("x0*x3 - x1*x2"),
                 ring.parse("x1*x3 - x2^2")]
         return SubschemeData(ring, gens, name=name), 2
@@ -329,7 +327,7 @@ BUILTIN_NAMES = ("three-points", "collinear-points", "one-point", "empty",
 # -- input file grammar -------------------------------------------------------
 
 
-def parse_subscheme_file(text, field=QQ):
+def parse_subscheme_file(text):
     """Parse the subscheme input format:
 
         ambient: 2
@@ -339,7 +337,9 @@ def parse_subscheme_file(text, field=QQ):
         0 1 0
 
     or with an `ideal:` section of one polynomial per line.  Returns
-    (SubschemeData, Polarization).  Blank lines and `#` comments ignored."""
+    (SubschemeData, Polarization).  Blank lines and `#` comments ignored.
+    Each header line comes once, and the polarization it gives is checked
+    before the ring and the subscheme are built."""
     n = None
     d = None
     mode = None
@@ -351,10 +351,10 @@ def parse_subscheme_file(text, field=QQ):
             continue
         low = line.lower()
         if low.startswith("ambient:"):
-            n = _parse_int(line)
+            n = _parse_header(line, n)
             continue
         if low.startswith("d:"):
-            d = _parse_int(line)
+            d = _parse_header(line, d)
             continue
         if low == "points:":
             mode = "points"
@@ -373,7 +373,8 @@ def parse_subscheme_file(text, field=QQ):
         raise InputError("missing 'ambient:' line")
     if d is None:
         raise InputError("missing 'd:' line")
-    ring = PolyRing(field, n + 1)
+    pol = Polarization(n, d)
+    ring = PolyRing(n + 1)
     if points and polys:
         raise InputError("give either points or ideal generators, not both")
     if points:
@@ -387,10 +388,14 @@ def parse_subscheme_file(text, field=QQ):
         z = SubschemeData(ring, gens)
     else:
         raise InputError("no points or ideal generators given")
-    return z, Polarization(n, d)
+    return z, pol
 
 
-def _parse_int(line):
+def _parse_header(line, seen):
+    """The integer of a header line; seen is the value of an earlier line
+    with the same key, which makes this one a repeat."""
+    if seen is not None:
+        raise InputError(f"header line repeated: {line!r}")
     try:
         return int(line.split(":", 1)[1])
     except ValueError:

@@ -18,9 +18,10 @@ from syzkit.chow import (ChernVector, ChowClass, KClass, bezout_h2,
                          c_from_ch, ch_from_c)
 from syzkit.curves import CurveBundleInvariants, butler_kernel_invariants
 from syzkit.errors import CoprimalityError
-from syzkit.fields import DEFAULT_PRIME, GF, QQ
+from syzkit.fields import DEFAULT_PRIME, QQ
 from syzkit.groebner import (FreeModule, Ideal, Vec, buchberger, normal_form,
                              vecs_from_polys)
+from syzkit.linalg import Matrix
 from syzkit.modtools import GradedModulePresentation, torsion_split
 from syzkit.polyring import PolyRing
 from syzkit.resolver import (build_chain, build_surface_kernel,
@@ -147,14 +148,13 @@ def test_criterion_07_butler_matches_resolver():
 def test_criterion_08_algebraic_core():
     with criterion(8, "algebraic core: S-pairs, staircase ranks, saturation, "
                       "characters, K-classes, torsion", budget=300):
-        ring = PolyRing(QQ, 3)
+        ring = PolyRing(3)
 
         # S-pair postcondition on a computed basis
         gens = [ring.parse("x0*x1"), ring.parse("x0*x2"), ring.parse("x1*x2"),
                 ring.parse("x0^2 - x1*x2")]
         _, vecs = vecs_from_polys(ring, gens)
         gb = buchberger(vecs)
-        field = ring.field
         for i in range(len(gb)):
             for j in range(i + 1, len(gb)):
                 fc, fe, fv = gb[i].lead()
@@ -163,29 +163,27 @@ def test_criterion_08_algebraic_core():
                     continue
                 lcm = tuple(max(a, b) for a, b in zip(fe, ge))
                 s = (gb[i].mul_monomial(tuple(a - b for a, b in zip(lcm, fe)),
-                                        field.inv(fv))
+                                        1 / fv)
                      - gb[j].mul_monomial(tuple(a - b for a, b in zip(lcm, ge)),
-                                          field.inv(gv)))
+                                          1 / gv))
                 assert normal_form(s, gb).is_zero()
 
-        # staircase piece dims match evaluation-matrix ranks for k <= 8
-        fp = GF(DEFAULT_PRIME)
-        ring_p = PolyRing(fp, 3)
+        # staircase piece dims match evaluation-matrix ranks for k <= 8, on
+        # points with integer coordinates drawn from [0, DEFAULT_PRIME)
         rng = random.Random("acceptance:staircase")
         for _ in range(3):
             pts = []
             while len(pts) < 4:
-                pt = tuple(fp(rng.randrange(DEFAULT_PRIME)) for _ in range(2))
-                pt = pt + (fp(1),)
+                pt = tuple(QQ(rng.randrange(DEFAULT_PRIME)) for _ in range(2))
+                pt = pt + (QQ(1),)
                 if pt not in pts:
                     pts.append(pt)
-            ideal = points_ideal(ring_p, pts)
+            ideal = points_ideal(ring, pts)
             for k in range(1, 9):
-                mons = ring_p.monomials_of_degree(k)
-                rows = [[ring_p.monomial(mo).evaluate(pt) for mo in mons]
+                mons = ring.monomials_of_degree(k)
+                rows = [[ring.monomial(mo).evaluate(pt) for mo in mons]
                         for pt in pts]
-                from syzkit.linalg import Matrix
-                ev_rank = Matrix(fp, rows).rank()
+                ev_rank = Matrix(QQ, rows).rank()
                 assert ideal.piece_dim(k) == comb(k + 2, 2) - ev_rank
 
         # saturation is idempotent and extensive on random monomial ideals

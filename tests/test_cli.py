@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from syzkit.cli import build_parser, main
-from syzkit.fields import QQ
 from syzkit.polyring import GradedPoly, PolyRing
 from syzkit.schemes import points_ideal
 
@@ -207,10 +206,22 @@ POINTS_HEADER = "ambient: 2\nd: 3\npoints:\n"
      None, None),
     (["butler", "--g", "1", "--r", "0", "--deg", "3"], None, None),
     (["butler", "--g", "2", "--r", "-3", "--deg", "15"], None, None),
+    (["resolve", "--builtin", "three-points", "--m", "2", "--m", "3"], None,
+     None),
+    (["resolve", "--builtin", "twisted-cubic", "--m", "1", "--m", "1", "--m",
+      "1"], None, None),
+    (["resolve", "--input", "FILE"], "ambient: 1\nd: 3\nideal:\nx0\n", None),
+    (["resolve", "--input", "FILE"], "ambient: -1\nd: 3\nideal:\nx0\n", None),
+    (["resolve", "--input", "FILE"], "ambient: 2\nd: 3\nd: 4\n"
+     "points:\n1 0 0\n", None),
+    (["resolve", "--input", "FILE"], "ambient: 2\nd: 3\nambient: 2\n"
+     "points:\n1 0 0\n", None),
 ], ids=["duplicate-points", "d-not-int", "ambient-not-int", "coord-not-rational",
         "coord-zero-denominator", "missing-file", "env-prime-not-int",
         "negative-trials", "zero-trials", "zero-r", "zero-n", "zero-v",
-        "zero-points", "butler-zero-rank", "butler-negative-rank"])
+        "zero-points", "butler-zero-rank", "butler-negative-rank",
+        "m-twice-on-p2", "m-three-times-on-p3", "ambient-1", "ambient-negative",
+        "d-repeated", "ambient-repeated"])
 def test_bad_input_exits_with_input_payload(capsys, monkeypatch, tmp_path,
                                            argv, text, prime):
     path = tmp_path / "z.txt"
@@ -282,7 +293,7 @@ def _random_ideal_file(seed, n, d, count):
     """The reduced Groebner basis of the random points' ideal as an input
     file with an `ideal:` section, which takes the Groebner saturation
     check instead of the point evaluations."""
-    ring = PolyRing(QQ, n + 1)
+    ring = PolyRing(n + 1)
     gb = points_ideal(ring, _random_points(seed, n, count)).gb
     lines = [f"ambient: {n}", f"d: {d}", "ideal:"] + [g.to_str() for g in gb]
     return "\n".join(lines) + "\n"

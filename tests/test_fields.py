@@ -1,11 +1,11 @@
-"""Scalar arithmetic over Q and F_p."""
+"""Scalar validation and coercion into Q and F_p."""
 
 from fractions import Fraction
 
 import pytest
 
-from syzkit.errors import UnsupportedFieldError, VariantMismatchError
-from syzkit.fields import DEFAULT_PRIME, GF, QQ, check_same_field
+from syzkit.errors import UnsupportedFieldError
+from syzkit.fields import DEFAULT_PRIME, GF, QQ
 
 
 def test_rationals_lowest_terms_positive_denominator():
@@ -18,12 +18,17 @@ def test_rationals_lowest_terms_positive_denominator():
 
 
 def test_rational_field_ops():
-    assert QQ.add(QQ(1, 2), QQ(1, 3)) == Fraction(5, 6)
-    assert QQ.mul(QQ(2, 3), QQ(3, 2)) == 1
-    assert QQ.inv(QQ(-4)) == Fraction(-1, 4)
-    assert QQ.is_zero(QQ.sub(QQ(7), QQ(7)))
+    # coercion gives Fractions, and arithmetic is theirs
+    assert QQ(1, 2) + QQ(1, 3) == Fraction(5, 6)
+    assert QQ(2, 3) * QQ(3, 2) == QQ.one
+    assert 1 / QQ(-4) == Fraction(-1, 4)
+    assert QQ(7) - QQ(7) == QQ.zero
+    assert all(type(x) is Fraction for x in (QQ(3), QQ(Fraction(1, 2)),
+                                             QQ.zero, QQ.one))
     with pytest.raises(ZeroDivisionError):
-        QQ.inv(QQ.zero)
+        QQ(1, 0)
+    with pytest.raises(UnsupportedFieldError):
+        QQ(0.5)
 
 
 def test_prime_field_residues_in_range():
@@ -33,16 +38,17 @@ def test_prime_field_residues_in_range():
     assert f.one == 1 and f.zero == 0
     for a in range(7):
         for b in range(1, 7):
-            assert 0 <= f.div(a, b) < 7
-            assert f.mul(f.div(a, b), b) == a % 7
+            assert 0 <= f(a, b) < 7
+            assert f(a, b) * b % 7 == a % 7
 
 
 def test_prime_field_inverse():
     f = GF(DEFAULT_PRIME)
     for a in (1, 2, 12345, DEFAULT_PRIME - 1):
-        assert f.mul(a, f.inv(a)) == 1
+        assert a * f(1, a) % f.p == 1
+        assert f(Fraction(1, a)) == f(1, a)
     with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+        f(1, 0)
 
 
 def test_prime_field_fraction_coercion():
@@ -71,14 +77,6 @@ def test_default_prime_is_32003():
     assert GF().p == 32003
 
 
-def test_field_variants_never_mix():
-    check_same_field(GF(7), GF(7))
-    with pytest.raises(VariantMismatchError):
-        check_same_field(QQ, GF(7))
-    with pytest.raises(VariantMismatchError):
-        check_same_field(GF(5), GF(7), where="test")
-
-
 def test_gf_instances_cached_and_comparable():
     assert GF(101) is GF(101)
     assert GF(101) == GF(101)
@@ -88,47 +86,38 @@ def test_gf_instances_cached_and_comparable():
 @pytest.mark.parametrize("field", (QQ, GF(2), GF(101), GF(2 ** 31 - 1)),
                          ids=repr)
 def test_field_axioms_property(field):
-    """The field axioms on canonical elements, and the two-argument
-    coercion num/den, which raises ZeroDivisionError exactly when den is
-    zero in the field."""
+    """Coercion is a ring homomorphism on the integers: it respects sums,
+    products and negation, lands in [0, p) over F_p and is the identity
+    into Q.  The two-argument coercion num/den raises ZeroDivisionError
+    exactly when den is zero in the field, and is the coercion of the
+    Fraction num/den."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     ints = st.integers(-10 ** 12, 10 ** 12)
-    if field == QQ:
-        elems = st.builds(Fraction, ints, st.integers(1, 10 ** 6))
-    else:
-        elems = ints.map(field)
     # denominators include 0 and multiples of the characteristic
     dens = st.one_of(ints, st.integers(-3, 3).map(
         lambda k: k * field.characteristic))
+    p = field.characteristic
+
+    def reduce(x):
+        return x % p if p else x
 
     @hyp.settings(max_examples=150, deadline=None, derandomize=True)
-    @hyp.given(elems, elems, elems, ints, dens)
-    def check(a, b, c, num, den):
+    @hyp.given(ints, ints, ints, dens)
+    def check(a, b, num, den):
         f = field
-        add, mul = f.add, f.mul
-        for x in (add(a, b), mul(a, b), f.neg(a), f.sub(a, b)):
-            assert f(x) == x
-            if f != QQ:
-                assert 0 <= x < f.p
-        assert add(a, b) == add(b, a) and mul(a, b) == mul(b, a)
-        assert add(add(a, b), c) == add(a, add(b, c))
-        assert mul(mul(a, b), c) == mul(a, mul(b, c))
-        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
-        assert add(a, f.zero) == a and mul(a, f.one) == a
-        assert f.is_zero(add(a, f.neg(a)))
-        assert f.sub(a, b) == add(a, f.neg(b))
-        if f.is_zero(b):
-            with pytest.raises(ZeroDivisionError):
-                f.inv(b)
-        else:
-            assert mul(b, f.inv(b)) == f.one
-            assert f.div(a, b) == mul(a, f.inv(b))
-        if f.is_zero(f(den)):
+        assert f(0) == f.zero and f(1) == f.one
+        for x in (a, b, a + b, a * b, -a):
+            assert f(f(x)) == f(x)
+            assert f(x) == x if f == QQ else 0 <= f(x) < p
+        assert f(a + b) == reduce(f(a) + f(b))
+        assert f(a * b) == reduce(f(a) * f(b))
+        assert f(-a) == reduce(-f(a))
+        if not reduce(den):
             with pytest.raises(ZeroDivisionError):
                 f(num, den)
         else:
-            assert mul(f(num, den), f(den)) == f(num)
+            assert reduce(f(num, den) * f(den)) == f(num)
             assert f(num, den) == f(Fraction(num, den))
 
     check()

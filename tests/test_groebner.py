@@ -17,15 +17,15 @@ from syzkit.groebner import (FreeModule, Ideal, PolyMatrix, Resolution,
                              series_coefficient, series_polynomial, syzygies,
                              vecs_from_polys)
 from syzkit.linalg import CERT_PRIME
-from syzkit.polyring import PolyRing, graded_piece_dim
+from syzkit.polyring import PolyRing, graded_piece_dim, integer_terms
 
 
 def ring3():
-    return PolyRing(QQ, 3)
+    return PolyRing(3)
 
 
 def ring4():
-    return PolyRing(QQ, 4)
+    return PolyRing(4)
 
 
 def twisted_cubic(ring):
@@ -65,12 +65,10 @@ def s_vector(f, g):
     gc, ge, gv = g.lead()
     if fc != gc:
         return None
-    field = f.free.ring.field
     lcm = tuple(max(a, b) for a, b in zip(fe, ge))
     uf = tuple(a - b for a, b in zip(lcm, fe))
     ug = tuple(a - b for a, b in zip(lcm, ge))
-    return (f.mul_monomial(uf, field.inv(fv))
-            - g.mul_monomial(ug, field.inv(gv)))
+    return f.mul_monomial(uf, 1 / fv) - g.mul_monomial(ug, 1 / gv)
 
 
 def spair_postcondition(gb):
@@ -182,7 +180,7 @@ def test_saturation_corrected_oracle():
     assert i3.saturate().equals(i3)
     assert i3.is_saturated()
     # in two variables the same generators saturate to (x)
-    ring2 = PolyRing(QQ, 2)
+    ring2 = PolyRing(2)
     i2 = Ideal(ring2, [ring2.parse("x0^2"), ring2.parse("x0*x1")])
     assert i2.saturate().equals(Ideal(ring2, [ring2.parse("x0")]))
     assert not i2.is_saturated()
@@ -296,11 +294,11 @@ def test_betti_numbers_order_independent():
         lambda r: [r.parse("x0*x1"), r.parse("x0*x2"), r.parse("x1*x2")],
         lambda r: [r.parse("x0^2 - x1*x2"), r.parse("x0*x1")],
     ]:
-        grev = PolyRing(QQ, 3)
-        lex = PolyRing(QQ, 3, order="lex")
+        grev = PolyRing(3)
+        lex = PolyRing(3, order="lex")
         assert (Ideal(grev, gens_of(grev)).resolution().betti()
                 == Ideal(lex, gens_of(lex)).resolution().betti())
-    grev4, lex4 = ring4(), PolyRing(QQ, 4, order="lex")
+    grev4, lex4 = ring4(), PolyRing(4, order="lex")
     assert (Ideal(grev4, twisted_cubic(grev4)).resolution().betti()
             == Ideal(lex4, twisted_cubic(lex4)).resolution().betti())
 
@@ -398,52 +396,95 @@ def _twelve_digits(rng):
     return rng.choice([-1, 1]) * rng.randrange(10 ** 11, 10 ** 12)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["QQ", "GF32003"])
-def test_reduced_basis_matches_sympy_groebner(field):
-    """32 seeded ideals per field in 3 and 4 variables, half with rational
-    and half with 12-digit coefficients: the monic reduced grevlex bases
-    agree with sympy's."""
-    sympy = pytest.importorskip("sympy")
-    p = getattr(field, "p", None)
+def _sympy_cases(sympy, field):
+    """The 32 seeded ideals of the sympy oracles, in 3 and 4 variables,
+    half with rational and half with 12-digit coefficients: (ring, sympy
+    symbols, generators)."""
     rng = random.Random(f"sympy-groebner:{field!r}")
-    cases = 0
     for n, degrees in ((3, (1, 2, 3)), (4, (1, 2))):
-        ring = PolyRing(field, n)
+        ring = PolyRing(n)
         xs = sympy.symbols(f"x0:{n}")
         for k in range(16):
             coeff = _rational if k % 2 else _twelve_digits
-            gens = _random_gens(rng, ring, rng.randrange(2, 4), degrees, coeff)
-            exprs = [sum(sympy.Rational(Fraction(c).numerator,
-                                        Fraction(c).denominator)
-                         * sympy.prod([x ** a for x, a in zip(xs, e)])
-                         for e, c in g.coeffs.items()) for g in gens]
-            options = {} if p is None else {"modulus": p}
-            oracle = sympy.groebner(exprs, *xs, order="grevlex", **options)
-            theirs = set()
-            for g in oracle.exprs:
-                terms = {e: field(Fraction(int(c.p), int(c.q)))
-                         for e, c in sympy.Poly(g, *xs).terms()}
-                lead = terms[max(terms, key=ring.key)]
-                theirs.add(frozenset((e, field.div(c, lead))
-                                     for e, c in terms.items()))
-            gb = Ideal(ring, gens).gb
-            assert all(g.leading()[1] == field.one for g in gb)
-            assert {frozenset(g.coeffs.items()) for g in gb} == theirs, (n, k)
-            cases += 1
+            yield ring, xs, _random_gens(rng, ring, rng.randrange(2, 4),
+                                         degrees, coeff)
+
+
+def _sympy_expr(sympy, xs, terms):
+    return sum(sympy.Rational(Fraction(c).numerator, Fraction(c).denominator)
+               * sympy.prod([x ** a for x, a in zip(xs, e)])
+               for e, c in terms.items())
+
+
+@pytest.mark.parametrize("field", [QQ], ids=["QQ"])
+def test_reduced_basis_matches_sympy_groebner(field):
+    """On 32 seeded ideals the monic reduced grevlex bases agree with
+    sympy's."""
+    sympy = pytest.importorskip("sympy")
+    cases = 0
+    for ring, xs, gens in _sympy_cases(sympy, field):
+        exprs = [_sympy_expr(sympy, xs, g.coeffs) for g in gens]
+        oracle = sympy.groebner(exprs, *xs, order="grevlex")
+        theirs = set()
+        for g in oracle.exprs:
+            terms = {e: Fraction(int(c.p), int(c.q))
+                     for e, c in sympy.Poly(g, *xs).terms()}
+            lead = terms[max(terms, key=ring.key)]
+            theirs.add(frozenset((e, c / lead) for e, c in terms.items()))
+        gb = Ideal(ring, gens).gb
+        assert all(g.leading()[1] == 1 for g in gb)
+        assert {frozenset(g.coeffs.items()) for g in gb} == theirs, cases
+        cases += 1
     assert cases == 32
+
+
+def test_mod_p_leads_match_sympy_groebner():
+    """The Groebner engine mod CERT_PRIME (the p branches of _normalize,
+    _reduce_full, _interreduce and _groebner): on the 32 seeded ideals of
+    the sympy oracle, the minimal leads mod p of the primitive integer
+    generators are the leading monomials of sympy's reduced grevlex basis
+    of the same integer generators over GF(CERT_PRIME)."""
+    sympy = pytest.importorskip("sympy")
+    cases = 0
+    for ring, xs, gens in _sympy_cases(sympy, QQ):
+        exprs = [_sympy_expr(sympy, xs, g.int_terms) for g in gens]
+        oracle = sympy.groebner(exprs, *xs, order="grevlex",
+                                modulus=CERT_PRIME)
+        theirs = {max(sympy.Poly(g, *xs).monoms(), key=ring.key)
+                  for g in oracle.exprs}
+        leads = Ideal(ring, gens)._mod_p_leads()
+        ours = {e for e in leads if not any(
+            f != e and all(a <= b for a, b in zip(f, e)) for f in leads)}
+        assert ours == theirs, cases
+        cases += 1
+    assert cases == 32
+
+
+def _mod_p_terms(vec, p):
+    """The primitive integer terms of vec mod p, as the engine mod p reads
+    a generator (Ideal._mod_p_leads)."""
+    return {t: c % p for t, c in integer_terms(vec.terms).items() if c % p}
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
 def test_reduction_by_a_reducer_with_a_non_unit_lead(field):
     """x0^2 + x1^2 modulo 3*x0 + 2*x1: x0 = -2/3*x1 leaves 13/9*x1^2.  Over
-    Q the pseudo-division scales the remainder by 3 twice, to 13*x1^2."""
-    ring = PolyRing(field, 3)
+    Q the pseudo-division scales the remainder by 3 twice, to 13*x1^2; the
+    engine mod p makes the reducer monic and leaves 13/9 mod p."""
+    ring = PolyRing(3)
     free, (f, g) = vecs_from_polys(ring, [ring.parse("x0^2 + x1^2"),
                                           ring.parse("3*x0 + 2*x1")])
+    if field != QQ:
+        p, desc = field.p, ring.descending_key
+        reducers = groebner._Reducers(p)
+        terms = _mod_p_terms(g, p)
+        reducers.add(terms, groebner._normalize(terms, p, desc))
+        assert groebner._reduce_full(_mod_p_terms(f, p), reducers, desc) == {
+            (0, (0, 2, 0)): field(13, 9)}
+        return
     rem = normal_form(f, [g])
     assert set(rem.terms) == {(0, (0, 2, 0))}
-    if field == QQ:
-        assert rem.terms[(0, (0, 2, 0))] == 13
+    assert rem.terms[(0, (0, 2, 0))] == 13
     ideal = Ideal(ring, [ring.parse("3*x0 + 2*x1")])
     assert ideal.contains(ring.parse("x0^2 + x1^2")
                           - ring.parse("x1^2").scale(field(13, 9)))
@@ -559,7 +600,7 @@ def test_series_coefficients_match_staircase_counts_property():
     @hyp.settings(max_examples=60, deadline=None, derandomize=True)
     @hyp.given(st.sampled_from((3, 4)), st.data())
     def check(nvars, data):
-        ring = PolyRing(QQ, nvars)
+        ring = PolyRing(nvars)
         leads = data.draw(st.lists(
             st.tuples(*[st.integers(0, 3)] * nvars).filter(any),
             max_size=7))
@@ -587,7 +628,7 @@ def test_shifted_monomial_module_series_property():
     @hyp.settings(max_examples=40, deadline=None, derandomize=True)
     @hyp.given(st.sampled_from((3, 4)), st.data())
     def check(nvars, data):
-        ring = PolyRing(QQ, nvars)
+        ring = PolyRing(nvars)
         shifts = data.draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
         free = FreeModule(ring, shifts)
         # each component gets its own monomials, possibly none
@@ -623,11 +664,47 @@ def test_series_numerator_of_known_ideals():
     assert hilbert_numerator([(2, 0, 0), (1, 1, 0)]) == {0: 1, 2: -2, 3: 1}
 
 
+def _mod_p_basis(vecs, p):
+    """The engine's Groebner basis mod p of the vecs, as integer terms."""
+    return groebner._groebner(vecs[0].free, [_mod_p_terms(v, p) for v in vecs],
+                              p)
+
+
+def _mod_p_spair_postcondition(basis, p, desc):
+    """Every S-pair of a basis mod p (monic integer terms) reduces to 0."""
+    leads = [groebner._lead(t, desc) for t in basis]
+    reducers = groebner._Reducers(p)
+    for terms, lead in zip(basis, leads):
+        reducers.add(terms, lead)
+    for i, (ci, ei) in enumerate(leads):
+        for j, (cj, ej) in enumerate(leads[:i]):
+            if ci != cj:
+                continue
+            lcm = tuple(max(a, b) for a, b in zip(ei, ej))
+            work = {}
+            for terms, e0, sign in ((basis[i], ei, 1), (basis[j], ej, -1)):
+                u = tuple(a - b for a, b in zip(lcm, e0))
+                for (c, e), v in terms.items():
+                    t = (c, tuple(a + b for a, b in zip(e, u)))
+                    work[t] = (work.get(t, 0) + sign * v) % p
+            work = {t: v for t, v in work.items() if v}
+            assert not groebner._reduce_full(work, reducers, desc)
+
+
+def _minimal_leads(basis, desc):
+    leads = {groebner._lead(t, desc) for t in basis}
+    return {(c, e) for c, e in leads if not any(
+        (d, f) != (c, e) and d == c and all(a <= b for a, b in zip(f, e))
+        for d, f in leads)}
+
+
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["QQ", "GF101"])
 def test_groebner_postconditions_property(field):
     """Every S-pair of a buchberger basis reduces to 0, and the reduced
     basis of an ideal does not change when its generators are permuted or
-    scaled by nonzero constants."""
+    scaled by nonzero constants.  Over GF(101) the same for the engine mod
+    p on the generators' integer terms: its S-pairs reduce to 0 mod p, and
+    its minimal leads do not change."""
     hyp = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
     nonzero = st.builds(lambda s, a, b: field(s * a, b), st.sampled_from(
@@ -637,7 +714,7 @@ def test_groebner_postconditions_property(field):
     @hyp.given(st.sampled_from(((3, (1, 2, 3)), (4, (1, 2)))), st.data())
     def check(shape, data):
         n, degrees = shape
-        ring = PolyRing(field, n)
+        ring = PolyRing(n)
         gens = []
         for _ in range(data.draw(st.integers(2, 3))):
             d = data.draw(st.sampled_from(degrees))
@@ -647,9 +724,16 @@ def test_groebner_postconditions_property(field):
             gens.append(ring.from_terms(
                 {m: data.draw(nonzero) for m in mons}, degree=d))
         _, vecs = vecs_from_polys(ring, gens)
-        spair_postcondition(buchberger(vecs))
         order = data.draw(st.permutations(range(len(gens))))
         moved = [gens[i].scale(data.draw(nonzero)) for i in order]
+        if field != QQ:
+            desc = ring.descending_key
+            basis = _mod_p_basis(vecs, field.p)
+            _mod_p_spair_postcondition(basis, field.p, desc)
+            other = _mod_p_basis(vecs_from_polys(ring, moved)[1], field.p)
+            assert _minimal_leads(other, desc) == _minimal_leads(basis, desc)
+            return
+        spair_postcondition(buchberger(vecs))
         assert Ideal(ring, moved).gb == Ideal(ring, gens).gb
 
     check()

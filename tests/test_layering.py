@@ -108,3 +108,18 @@ def test_chow_imports_nothing_from_linalg():
     found = [f"chow.py:{line}" for line, target, _ in
              _syzkit_imports(_trees()["chow"]) if target == "linalg"]
     assert not found, f"chow imports linalg: {found}"
+
+
+def test_prime_field_is_named_only_in_fields_and_linalg():
+    # F_p certifies ranks and samples: a layer above linalg takes GF(p)
+    # values only, so it has no field to branch on
+    users = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Name) and node.id == "PrimeField"
+                    or isinstance(node, ast.Attribute)
+                    and node.attr == "PrimeField"
+                    or isinstance(node, ast.alias)
+                    and node.name == "PrimeField"):
+                users.add(path.stem)
+    assert users == {"fields", "linalg"}

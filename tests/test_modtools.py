@@ -18,7 +18,7 @@ from syzkit.polyring import PolyRing
 
 
 def ring3():
-    return PolyRing(QQ, 3)
+    return PolyRing(3)
 
 
 def rel(free, terms, degree=None):
@@ -326,7 +326,7 @@ def test_presentation_hilbert_data():
 
 
 def test_presentation_hilbert_polynomial_retries_past_irregular_values():
-    ring = PolyRing(QQ, 2)
+    ring = PolyRing(2)
     pres = free_module(ring, (0,))
     # a Hilbert function that reaches its polynomial k + 1 only from k = 3:
     # the first fit window fails its check points and the next one is used
